@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,13 +63,37 @@ type Link struct {
 
 	ctr linkCounters
 
+	// state is the link's administrative configuration, published as an
+	// immutable snapshot so the per-packet path reads it with one atomic
+	// load; the setters copy it under mu.
 	mu       sync.Mutex
-	mboxes   []Middlebox
-	downABi  bool // direction a->b administratively down
-	downBAi  bool
-	stallABi bool // direction a->b stalled (silent blackhole)
-	stallBAi bool
+	state    atomic.Pointer[linkState]
 	lossBits atomic.Uint64 // dynamic loss probability (math.Float64bits)
+}
+
+// linkState is indexed by Direction where it is per direction.
+type linkState struct {
+	mboxes  []Middlebox
+	down    [2]bool // administratively down
+	stalled [2]bool // silent blackhole
+}
+
+// update publishes a modified copy of the link state. mutate receives a
+// shallow copy whose slice it must replace, not write through.
+func (l *Link) update(mutate func(st *linkState)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := *l.state.Load()
+	mutate(&st)
+	l.state.Store(&st)
+}
+
+// dir returns the state of one direction.
+func (l *Link) dir(d Direction) *linkDir {
+	if d == AtoB {
+		return l.ab
+	}
+	return l.ba
 }
 
 // linkCounters aggregates both directions of a link. All atomics:
@@ -140,6 +165,14 @@ func (l *Link) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Func(prefix+"queue_high_water", func() int64 { return l.ctr.queueHWM.Load() })
 }
 
+// drop discards a packet that entered the link: counted by cause,
+// mirrored into both traces, and its pooled payload released.
+func (l *Link) drop(ctr *atomic.Uint64, trace string, kind telemetry.EventKind, p *wire.Packet) {
+	l.net.emit(trace, "", l.cfg.Name, p)
+	l.noteDrop(ctr, kind, p)
+	bufpool.Put(p.Payload)
+}
+
 // noteDrop counts a dropped packet by cause and mirrors it into the
 // telemetry trace.
 func (l *Link) noteDrop(ctr *atomic.Uint64, kind telemetry.EventKind, p *wire.Packet) {
@@ -161,11 +194,15 @@ type LinkEnd struct {
 // The in-flight queue is a bounded MPSC ring with a coalescing
 // doorbell: transmitters of a whole burst pay one atomic per packet
 // plus at most one channel send, and the drain goroutine wakes once
-// per burst instead of once per segment.
+// per burst instead of once per segment. Packets sit in the ring by
+// value — the header is copied in on transmit and handed to the
+// receiving handler by pointer into the drain batch — so a packet
+// crossing the link costs no allocation.
 type linkDir struct {
-	link *Link
-	dir  Direction
-	dst  *Host
+	link  *Link
+	dir   Direction
+	dst   *Host
+	delay time.Duration // wall-clock propagation delay
 
 	mu       sync.Mutex
 	nextFree time.Time // when the transmitter finishes the current queue
@@ -173,25 +210,39 @@ type linkDir struct {
 }
 
 type timedPacket struct {
-	p         *wire.Packet
+	p         wire.Packet
 	deliverAt time.Time
 }
 
 // inflightCap bounds each direction's in-flight ring; overflow is
-// dropped and counted as drop_queue, like the channel it replaced.
-const inflightCap = 8192
+// dropped and counted as drop_queue, like the channel it replaced. Two
+// thousand packets is ~3 MB of full-size segments on the wire, several
+// times what any window or drop-tail queue here admits; the cells hold
+// packets by value, so the bound is also what a link costs in memory
+// (~230 KB per direction).
+const inflightCap = 2048
+
+// drainBatch is how many packets the drain goroutine pops, and at most
+// hands to the receiving host, at once.
+const drainBatch = 64
 
 // drain delivers queued packets in order at their scheduled times.
 // Because enqueue stamps deliverAt from a monotone per-direction
 // departure clock, deliverAt never decreases across pops, so a single
-// reusable timer suffices for the whole queue.
+// reusable timer suffices for the whole queue. Packets that are due
+// together are handed to the host together.
 func (d *linkDir) drain(done <-chan struct{}) {
-	var batch [64]timedPacket
+	var batch [drainBatch]timedPacket
+	var due [drainBatch]*wire.Packet
+	for i := range due {
+		due[i] = &batch[i].p
+	}
 	tm := time.NewTimer(time.Hour)
 	if !tm.Stop() {
 		<-tm.C
 	}
 	defer tm.Stop()
+	l := d.link
 	for {
 		n := d.inflight.PopBatch(batch[:])
 		if n == 0 {
@@ -202,22 +253,32 @@ func (d *linkDir) drain(done <-chan struct{}) {
 				return
 			}
 		}
-		for i := 0; i < n; i++ {
-			tp := batch[i]
-			batch[i] = timedPacket{} // release the packet reference
-			if wait := time.Until(tp.deliverAt); wait > 0 {
+		for i := 0; i < n; {
+			now := time.Now()
+			if wait := batch[i].deliverAt.Sub(now); wait > 0 {
 				tm.Reset(wait)
 				select {
 				case <-tm.C:
 				case <-done:
 					return
 				}
+				now = time.Now()
 			}
-			d.link.net.emit(TraceEvent{Kind: "recv", Host: d.dst.name, Packet: tp.p})
-			d.link.ctr.delivered.Add(1)
-			d.link.ctr.deliveredBytes.Add(uint64(tp.p.Len()))
-			d.dst.deliver(tp.p)
+			j := i + 1
+			for j < n && !batch[j].deliverAt.After(now) {
+				j++
+			}
+			var bytes uint64
+			for _, p := range due[i:j] {
+				l.net.emit("recv", d.dst.name, "", p)
+				bytes += uint64(p.Len())
+			}
+			l.ctr.delivered.Add(uint64(j - i))
+			l.ctr.deliveredBytes.Add(bytes)
+			d.dst.deliver(due[i:j])
+			i = j
 		}
+		clear(batch[:n]) // release the payload references
 	}
 }
 
@@ -232,9 +293,11 @@ func (n *Network) AddLink(a, b *Host, addrA, addrB netip.Addr, cfg LinkConfig) *
 		cfg.QueueBytes = DefaultQueueBytes
 	}
 	l := &Link{cfg: cfg, net: n, a: a, b: b}
+	l.state.Store(&linkState{})
 	l.lossBits.Store(math.Float64bits(cfg.Loss))
-	l.ab = &linkDir{link: l, dir: AtoB, dst: b, inflight: ring.New[timedPacket](inflightCap)}
-	l.ba = &linkDir{link: l, dir: BtoA, dst: a, inflight: ring.New[timedPacket](inflightCap)}
+	delay := n.ScaleDuration(cfg.Delay)
+	l.ab = &linkDir{link: l, dir: AtoB, dst: b, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
+	l.ba = &linkDir{link: l, dir: BtoA, dst: a, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
 	go l.ab.drain(n.done)
 	go l.ba.drain(n.done)
 	a.AddAddr(addrA)
@@ -264,9 +327,7 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // Use appends middleboxes to the link's processing chain. Every packet in
 // either direction passes through them in order.
 func (l *Link) Use(m ...Middlebox) *Link {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mboxes = append(l.mboxes, m...)
+	l.update(func(st *linkState) { st.mboxes = append(slices.Clone(st.mboxes), m...) })
 	return l
 }
 
@@ -274,21 +335,13 @@ func (l *Link) Use(m ...Middlebox) *Link {
 // link: while down, every packet entering it is dropped. Used to emulate
 // the network outages behind the paper's failover scenarios.
 func (l *Link) SetDown(down bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.downABi, l.downBAi = down, down
+	l.update(func(st *linkState) { st.down = [2]bool{down, down} })
 }
 
 // SetDownDir disables or enables a single direction of the link,
 // emulating asymmetric outages (a route withdrawn one way only).
 func (l *Link) SetDownDir(dir Direction, down bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dir == AtoB {
-		l.downABi = down
-	} else {
-		l.downBAi = down
-	}
+	l.update(func(st *linkState) { st.down[dir] = down })
 }
 
 // SetStall silently blackholes one direction of the link: unlike
@@ -297,13 +350,7 @@ func (l *Link) SetDownDir(dir Direction, down bool) {
 // A stalled path produces no read-loop error at the transport — only a
 // health probe (or TCP user timeout) can detect it.
 func (l *Link) SetStall(dir Direction, stalled bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dir == AtoB {
-		l.stallABi = stalled
-	} else {
-		l.stallBAi = stalled
-	}
+	l.update(func(st *linkState) { st.stalled[dir] = stalled })
 }
 
 // StallBoth stalls or unstalls both directions at once.
@@ -327,30 +374,6 @@ func (l *Link) SetLoss(p float64) {
 // Loss returns the current per-packet drop probability.
 func (l *Link) Loss() float64 { return math.Float64frombits(l.lossBits.Load()) }
 
-func (l *Link) isDown(dir Direction) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dir == AtoB {
-		return l.downABi
-	}
-	return l.downBAi
-}
-
-func (l *Link) isStalled(dir Direction) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dir == AtoB {
-		return l.stallABi
-	}
-	return l.stallBAi
-}
-
-func (l *Link) middleboxes() []Middlebox {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Middlebox(nil), l.mboxes...)
-}
-
 // EndA returns the a-side attachment (transmits toward b). Useful when
 // installing extra routes by hand.
 func (l *Link) EndA() *LinkEnd { return &LinkEnd{l, AtoB} }
@@ -358,27 +381,40 @@ func (l *Link) EndA() *LinkEnd { return &LinkEnd{l, AtoB} }
 // EndB returns the b-side attachment (transmits toward a).
 func (l *Link) EndB() *LinkEnd { return &LinkEnd{l, BtoA} }
 
-func (e *LinkEnd) transmit(p *wire.Packet) {
+// transmit sends one packet down the link; see transmitBatch.
+func (e *LinkEnd) transmit(p *wire.Packet) { e.transmitBatch([]*wire.Packet{p}) }
+
+// transmitBatch sends a burst of packets down the link: dropped if the
+// direction is down or stalled, through the middlebox chain if there is
+// one, then into the direction's queue under one lock hold.
+func (e *LinkEnd) transmitBatch(pkts []*wire.Packet) {
 	l := e.link
-	dirState := l.ab
-	if e.dir == BtoA {
-		dirState = l.ba
+	st := l.state.Load()
+	switch {
+	case st.down[e.dir]:
+		for _, p := range pkts {
+			l.drop(&l.ctr.dropDown, "drop-down", telemetry.EvLinkDropDown, p)
+		}
+	case st.stalled[e.dir]:
+		for _, p := range pkts {
+			l.drop(&l.ctr.dropStall, "drop-stall", telemetry.EvLinkDropStall, p)
+		}
+	case len(st.mboxes) > 0:
+		for _, p := range pkts {
+			e.throughMiddleboxes(st.mboxes, p)
+		}
+	default:
+		l.dir(e.dir).enqueue(pkts)
 	}
-	if l.isDown(e.dir) {
-		l.net.emit(TraceEvent{Kind: "drop-down", Link: l.cfg.Name, Packet: p})
-		l.noteDrop(&l.ctr.dropDown, telemetry.EvLinkDropDown, p)
-		bufpool.Put(p.Payload)
-		return
-	}
-	if l.isStalled(e.dir) {
-		l.net.emit(TraceEvent{Kind: "drop-stall", Link: l.cfg.Name, Packet: p})
-		l.noteDrop(&l.ctr.dropStall, telemetry.EvLinkDropStall, p)
-		bufpool.Put(p.Payload)
-		return
-	}
-	// Middlebox chain. Forward-direction results continue down the link;
-	// reverse injections enter the opposite direction.
-	mboxes := l.middleboxes()
+}
+
+// throughMiddleboxes runs p through the chain and queues what comes out:
+// forward results continue down the link, reverse injections enter the
+// opposite direction. Every middlebox works on a clone (GC-backed), so
+// once the chain has run nothing downstream references p's pooled
+// payload and it is released.
+func (e *LinkEnd) throughMiddleboxes(mboxes []Middlebox, p *wire.Packet) {
+	l := e.link
 	fwd := []*wire.Packet{p}
 	for _, m := range mboxes {
 		var next []*wire.Packet
@@ -386,186 +422,74 @@ func (e *LinkEnd) transmit(p *wire.Packet) {
 			out, back := m.Process(q.Clone(), e.dir)
 			next = append(next, out...)
 			for _, bp := range back {
-				l.net.emit(TraceEvent{Kind: "inject", Link: l.cfg.Name, Packet: bp})
-				rev := l.ba
-				if e.dir == BtoA {
-					rev = l.ab
-				}
-				rev.enqueue(bp)
+				l.net.emit("inject", "", l.cfg.Name, bp)
 			}
+			l.dir(e.dir ^ 1).enqueue(back)
 			if len(out) == 0 {
-				l.net.emit(TraceEvent{Kind: "drop-mbox", Link: l.cfg.Name, Packet: q})
+				l.net.emit("drop-mbox", "", l.cfg.Name, q)
 				l.noteDrop(&l.ctr.dropMbox, telemetry.EvLinkDropMbox, q)
 			}
 		}
 		fwd = next
 	}
-	if len(mboxes) > 0 {
-		// The chain operated on clones (GC-backed); the original packet's
-		// pooled buffer is no longer referenced by anything downstream.
-		bufpool.Put(p.Payload)
-	}
-	for _, q := range fwd {
-		dirState.enqueue(q)
-	}
-}
-
-// hasMboxes reports whether any middlebox is installed, without copying
-// the chain (the batch fast path checks this per burst).
-func (l *Link) hasMboxes() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.mboxes) > 0
-}
-
-// transmitBatch sends a burst of packets down the link. The fast path —
-// link up, no middleboxes — schedules the whole burst under one queue
-// lock; any special condition falls back to per-packet transmit.
-func (e *LinkEnd) transmitBatch(pkts []*wire.Packet) {
-	l := e.link
-	if l.isDown(e.dir) || l.isStalled(e.dir) || l.hasMboxes() {
-		for _, p := range pkts {
-			e.transmit(p)
-		}
-		return
-	}
-	dirState := l.ab
-	if e.dir == BtoA {
-		dirState = l.ba
-	}
-	dirState.enqueueBatch(pkts)
+	bufpool.Put(p.Payload)
+	l.dir(e.dir).enqueue(fwd)
 }
 
 // enqueue models the drop-tail queue plus the serialization and
-// propagation delays of the direction, then delivers to the peer host.
-func (d *linkDir) enqueue(p *wire.Packet) {
-	l := d.link
-	cfg := l.cfg
-	if loss := l.Loss(); loss > 0 && l.net.lossDraw() < loss {
-		l.net.emit(TraceEvent{Kind: "drop-loss", Link: cfg.Name, Packet: p})
-		l.noteDrop(&l.ctr.dropLoss, telemetry.EvLinkDropLoss, p)
-		bufpool.Put(p.Payload)
-		return
-	}
-	size := p.Len()
-	var txTime time.Duration
-	if cfg.BandwidthBps > 0 {
-		txTime = time.Duration(float64(size*8) / cfg.BandwidthBps * float64(time.Second))
-	}
-
-	d.mu.Lock()
-	now := time.Now()
-	backlog := d.nextFree.Sub(now) // wall-clock time of traffic ahead of us
-	if backlog < 0 {
-		backlog = 0
-		d.nextFree = now
-	}
-	// Queue occupancy approximated by the backlog converted back to bytes:
-	// (virtual backlog seconds) * bandwidth / 8.
-	if cfg.BandwidthBps > 0 {
-		virtualBacklog := float64(backlog) / l.net.scale
-		queued := virtualBacklog / float64(time.Second) * cfg.BandwidthBps / 8
-		if int(queued) > cfg.QueueBytes {
-			d.mu.Unlock()
-			l.net.emit(TraceEvent{Kind: "drop-queue", Link: cfg.Name, Packet: p})
-			l.noteDrop(&l.ctr.dropQueue, telemetry.EvLinkDropQueue, p)
-			bufpool.Put(p.Payload)
-			return
-		}
-		l.noteQueueDepth(int64(queued) + int64(size))
-	}
-	d.nextFree = d.nextFree.Add(l.net.ScaleDuration(txTime))
-	departIn := d.nextFree.Sub(now)
-	d.mu.Unlock()
-
-	l.net.emit(TraceEvent{Kind: "send", Link: cfg.Name, Packet: p})
-	l.ctr.sent.Add(1)
-	l.ctr.sentBytes.Add(uint64(size))
-	deliverAt := now.Add(departIn + l.net.ScaleDuration(cfg.Delay))
-	if !d.inflight.TryPush(timedPacket{p, deliverAt}) {
-		l.net.emit(TraceEvent{Kind: "drop-queue", Link: cfg.Name, Packet: p})
-		l.noteDrop(&l.ctr.dropQueue, telemetry.EvLinkDropQueue, p)
-		bufpool.Put(p.Payload)
-	}
-}
-
-// enqueueBatch schedules a burst of packets through the drop-tail queue
-// under a single lock acquisition and one clock read — the per-packet
-// lock/unlock and time.Now of enqueue dominate high-rate senders.
-// Loss draws, bandwidth backlog and delivery times are still computed
-// per packet, so emulation behaviour matches packet-at-a-time exactly.
-func (d *linkDir) enqueueBatch(pkts []*wire.Packet) {
-	l := d.link
-	cfg := l.cfg
-	if loss := l.Loss(); loss > 0 {
-		kept := pkts[:0]
-		for _, p := range pkts {
-			if l.net.lossDraw() < loss {
-				l.net.emit(TraceEvent{Kind: "drop-loss", Link: cfg.Name, Packet: p})
-				l.noteDrop(&l.ctr.dropLoss, telemetry.EvLinkDropLoss, p)
-				bufpool.Put(p.Payload)
-				continue
-			}
-			kept = append(kept, p)
-		}
-		pkts = kept
-	}
+// propagation delays of the direction for a burst of packets, under a
+// single lock acquisition and one clock read. Loss draws, bandwidth
+// backlog and delivery times are computed per packet; the ring is filled
+// under the same lock that stamps the delivery times, so ring order and
+// time order agree, and the doorbell rings once for the burst.
+func (d *linkDir) enqueue(pkts []*wire.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
-
-	sched := make([]timedPacket, 0, len(pkts))
-	var overflow []*wire.Packet
+	l := d.link
+	cfg := &l.cfg
+	loss := l.Loss()
 	var hwm int64
+	pushed := false
 	d.mu.Lock()
 	now := time.Now()
 	for _, p := range pkts {
+		if loss > 0 && l.net.lossDraw() < loss {
+			l.drop(&l.ctr.dropLoss, "drop-loss", telemetry.EvLinkDropLoss, p)
+			continue
+		}
 		size := p.Len()
-		var txTime time.Duration
-		if cfg.BandwidthBps > 0 {
-			txTime = time.Duration(float64(size*8) / cfg.BandwidthBps * float64(time.Second))
-		}
-		backlog := d.nextFree.Sub(now)
-		if backlog < 0 {
-			backlog = 0
-			d.nextFree = now
+		if d.nextFree.Before(now) {
+			d.nextFree = now // idle transmitter: no traffic ahead of us
 		}
 		if cfg.BandwidthBps > 0 {
-			virtualBacklog := float64(backlog) / l.net.scale
+			// Queue occupancy approximated by the wall-clock backlog
+			// converted back to bytes: (virtual seconds) * bandwidth / 8.
+			virtualBacklog := float64(d.nextFree.Sub(now)) / l.net.scale
 			queued := virtualBacklog / float64(time.Second) * cfg.BandwidthBps / 8
 			if int(queued) > cfg.QueueBytes {
-				overflow = append(overflow, p)
+				l.drop(&l.ctr.dropQueue, "drop-queue", telemetry.EvLinkDropQueue, p)
 				continue
 			}
-			if q := int64(queued) + int64(size); q > hwm {
-				hwm = q
-			}
+			hwm = max(hwm, int64(queued)+int64(size))
+			txTime := time.Duration(float64(size*8) / cfg.BandwidthBps * float64(time.Second))
+			d.nextFree = d.nextFree.Add(l.net.ScaleDuration(txTime))
 		}
-		d.nextFree = d.nextFree.Add(l.net.ScaleDuration(txTime))
-		sched = append(sched, timedPacket{p, d.nextFree.Add(l.net.ScaleDuration(cfg.Delay))})
+		l.net.emit("send", "", cfg.Name, p)
+		l.ctr.sent.Add(1)
+		l.ctr.sentBytes.Add(uint64(size))
+		if !d.inflight.TryPushQuiet(timedPacket{*p, d.nextFree.Add(d.delay)}) {
+			l.drop(&l.ctr.dropQueue, "drop-queue", telemetry.EvLinkDropQueue, p)
+			continue
+		}
+		pushed = true
 	}
 	d.mu.Unlock()
-
-	for _, p := range overflow {
-		l.net.emit(TraceEvent{Kind: "drop-queue", Link: cfg.Name, Packet: p})
-		l.noteDrop(&l.ctr.dropQueue, telemetry.EvLinkDropQueue, p)
-		bufpool.Put(p.Payload)
+	if pushed {
+		d.inflight.Ring()
 	}
 	if hwm > 0 {
 		l.noteQueueDepth(hwm)
-	}
-	for _, tp := range sched {
-		l.net.emit(TraceEvent{Kind: "send", Link: cfg.Name, Packet: tp.p})
-		l.ctr.sent.Add(1)
-		l.ctr.sentBytes.Add(uint64(tp.p.Len()))
-	}
-	// One ring pass and one doorbell for the whole burst; whatever does
-	// not fit is a queue drop, as with packet-at-a-time enqueue.
-	pushed := d.inflight.PushBatch(sched)
-	for _, tp := range sched[pushed:] {
-		l.net.emit(TraceEvent{Kind: "drop-queue", Link: cfg.Name, Packet: tp.p})
-		l.noteDrop(&l.ctr.dropQueue, telemetry.EvLinkDropQueue, tp.p)
-		bufpool.Put(tp.p.Payload)
 	}
 }
 

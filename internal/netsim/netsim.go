@@ -14,8 +14,10 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,11 +136,16 @@ func (n *Network) Seed() int64 { return n.seed }
 // emulated time.
 func (n *Network) Now() time.Time { return time.Now() }
 
+// Virtual converts a wall-clock duration into emulated (virtual) time:
+// the inverse of ScaleDuration, for callers that already hold both
+// instants and need no further clock read.
+func (n *Network) Virtual(wall time.Duration) time.Duration {
+	return time.Duration(float64(wall) / n.scale)
+}
+
 // VirtualSince converts wall-clock elapsed time since t into emulated
 // (virtual) time.
-func (n *Network) VirtualSince(t time.Time) time.Duration {
-	return time.Duration(float64(time.Since(t)) / n.scale)
-}
+func (n *Network) VirtualSince(t time.Time) time.Duration { return n.Virtual(time.Since(t)) }
 
 // VirtualNow returns the virtual time elapsed since the network was
 // created — the shared clock for telemetry tracers, so events stamped
@@ -193,19 +200,19 @@ func (n *Network) Host(name string) *Host {
 	if h, ok := n.hosts[name]; ok {
 		return h
 	}
-	h := &Host{
-		name:     name,
-		net:      n,
-		handlers: make(map[uint8]func(*wire.Packet)),
-	}
+	h := &Host{name: name, net: n}
+	h.state.Store(&hostState{handlers: map[uint8]func([]*wire.Packet){}})
 	n.hosts[name] = h
 	return h
 }
 
-func (n *Network) emit(ev TraceEvent) {
+// emit reports a packet event to the WithTrace callback, if one is
+// installed. The callback gets its own copy of the packet header, so p
+// does not escape through it and a caller may pass a stack packet.
+func (n *Network) emit(kind, host, link string, p *wire.Packet) {
 	if n.trace != nil {
-		ev.Time = n.VirtualSince(n.start)
-		n.trace(ev)
+		q := *p
+		n.trace(TraceEvent{Time: n.VirtualSince(n.start), Kind: kind, Host: host, Link: link, Packet: &q})
 	}
 }
 
@@ -222,15 +229,32 @@ type Host struct {
 	name string
 	net  *Network
 
-	mu       sync.Mutex
+	// state is the host's configuration, published as an immutable
+	// snapshot: the per-packet paths (HasAddr, route lookup, delivery)
+	// read it with one atomic load; the rare mutators copy it under mu.
+	mu    sync.Mutex
+	state atomic.Pointer[hostState]
+}
+
+type hostState struct {
 	addrs    []netip.Addr
 	routes   []route
-	handlers map[uint8]func(*wire.Packet)
+	handlers map[uint8]func([]*wire.Packet)
 }
 
 type route struct {
 	prefix netip.Prefix
 	end    *LinkEnd
+}
+
+// update publishes a modified copy of the host state. mutate receives a
+// shallow copy whose slices and map it must replace, not write through.
+func (h *Host) update(mutate func(st *hostState)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := *h.state.Load()
+	mutate(&st)
+	h.state.Store(&st)
 }
 
 // Name returns the host's name.
@@ -241,50 +265,33 @@ func (h *Host) Network() *Network { return h.net }
 
 // AddAddr assigns an additional address to the host.
 func (h *Host) AddAddr(a netip.Addr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, x := range h.addrs {
-		if x == a {
-			return
+	h.update(func(st *hostState) {
+		if !slices.Contains(st.addrs, a) {
+			st.addrs = append(slices.Clone(st.addrs), a)
 		}
-	}
-	h.addrs = append(h.addrs, a)
+	})
 }
 
 // Addrs returns a copy of the host's addresses.
-func (h *Host) Addrs() []netip.Addr {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]netip.Addr(nil), h.addrs...)
-}
+func (h *Host) Addrs() []netip.Addr { return slices.Clone(h.state.Load().addrs) }
 
 // HasAddr reports whether a is one of the host's addresses.
-func (h *Host) HasAddr(a netip.Addr) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, x := range h.addrs {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
+func (h *Host) HasAddr(a netip.Addr) bool { return slices.Contains(h.state.Load().addrs, a) }
 
 // AddRoute installs prefix -> link-end into the route table. Longest
 // prefix wins; ties go to the most recently added route.
 func (h *Host) AddRoute(prefix netip.Prefix, end *LinkEnd) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.routes = append(h.routes, route{prefix, end})
+	h.update(func(st *hostState) {
+		st.routes = append(slices.Clone(st.routes), route{prefix, end})
+	})
 }
 
 func (h *Host) lookupRoute(dst netip.Addr) *LinkEnd {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	routes := h.state.Load().routes
 	var best *LinkEnd
 	bestLen := -1
-	for i := range h.routes {
-		r := &h.routes[i]
+	for i := range routes {
+		r := &routes[i]
 		if r.prefix.Contains(dst) && r.prefix.Bits() >= bestLen {
 			best, bestLen = r.end, r.prefix.Bits()
 		}
@@ -293,23 +300,59 @@ func (h *Host) lookupRoute(dst netip.Addr) *LinkEnd {
 }
 
 // Register installs the handler for a transport protocol number. Packets
-// addressed to this host with that protocol are delivered to it (on the
-// link's delivery goroutine — handlers must not block for long).
+// addressed to this host with that protocol are delivered to it one at a
+// time (on the link's delivery goroutine — handlers must not block for
+// long).
+//
+// The *wire.Packet is valid only until the handler returns: it points
+// into the link's delivery batch, which the next delivery overwrites. A
+// handler that keeps the header copies the struct. The Payload is a
+// different matter — ownership of that buffer passes to the handler, which
+// releases it with bufpool.Put when done (see DESIGN.md §9).
 func (h *Host) Register(proto uint8, fn func(*wire.Packet)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.handlers[proto] = fn
+	h.RegisterBatch(proto, func(pkts []*wire.Packet) {
+		for _, p := range pkts {
+			fn(p)
+		}
+	})
+}
+
+// RegisterBatch installs a handler that receives each run of packets the
+// host is handed together — everything a link direction found due at one
+// instant, in arrival order — in a single call, so a transport can process
+// a burst under one lock hold. The slice and the packets it points to are
+// valid only until the handler returns; payload ownership passes to the
+// handler as with Register.
+func (h *Host) RegisterBatch(proto uint8, fn func([]*wire.Packet)) {
+	h.update(func(st *hostState) {
+		st.handlers = maps.Clone(st.handlers)
+		st.handlers[proto] = fn
+	})
+}
+
+// loopbackDelay is the delivery delay of a packet a host sends to itself.
+// Asynchronous like a real loopback interface: protocol handlers may send
+// while holding their own locks.
+const loopbackDelay = 50 * time.Microsecond
+
+// loopback schedules delivery of a copy of p to the host itself.
+func (h *Host) loopback(p *wire.Packet) {
+	h.net.emit("loop", h.name, "", p)
+	q := *p
+	h.net.AfterFunc(loopbackDelay, func() { h.deliver([]*wire.Packet{&q}) })
 }
 
 // Send routes the packet: locally if dst is one of the host's own
 // addresses, otherwise via the route table. It returns an error if no
 // route matches — emulating an unreachable network.
+//
+// The network copies the packet header before Send returns, so p may
+// live on the caller's stack or in reused scratch; ownership of the
+// Payload buffer moves into the network on success and stays with the
+// caller on error.
 func (h *Host) Send(p *wire.Packet) error {
 	if h.HasAddr(p.Dst) {
-		h.net.emit(TraceEvent{Kind: "loop", Host: h.name, Packet: p})
-		// Asynchronous like a real loopback interface: protocol handlers
-		// may send while holding their own locks.
-		h.net.AfterFunc(50*time.Microsecond, func() { h.deliver(p) })
+		h.loopback(p)
 		return nil
 	}
 	end := h.lookupRoute(p.Dst)
@@ -322,9 +365,8 @@ func (h *Host) Send(p *wire.Packet) error {
 
 // SendBatch routes a burst of packets sharing one destination — the
 // common shape of an ACK-clocked TCP flight — with a single route lookup
-// and a single pass through the link queue. On error (no route) the
-// caller keeps ownership of every packet's payload buffer; on success
-// ownership moves into the network as with Send.
+// and a single pass through the link queue. Header and payload ownership
+// are as with Send, for every packet of the burst.
 func (h *Host) SendBatch(pkts []*wire.Packet) error {
 	if len(pkts) == 0 {
 		return nil
@@ -332,9 +374,7 @@ func (h *Host) SendBatch(pkts []*wire.Packet) error {
 	dst := pkts[0].Dst
 	if h.HasAddr(dst) {
 		for _, p := range pkts {
-			h.net.emit(TraceEvent{Kind: "loop", Host: h.name, Packet: p})
-			q := p
-			h.net.AfterFunc(50*time.Microsecond, func() { h.deliver(q) })
+			h.loopback(p)
 		}
 		return nil
 	}
@@ -346,14 +386,20 @@ func (h *Host) SendBatch(pkts []*wire.Packet) error {
 	return nil
 }
 
-// deliver hands a packet that has arrived at this host to the protocol
-// handler.
-func (h *Host) deliver(p *wire.Packet) {
-	h.mu.Lock()
-	fn := h.handlers[p.Proto]
-	h.mu.Unlock()
-	if fn != nil {
-		fn(p)
+// deliver hands packets that have arrived at this host to their protocol
+// handlers, one call per run of packets sharing a protocol.
+func (h *Host) deliver(pkts []*wire.Packet) {
+	handlers := h.state.Load().handlers
+	for i := 0; i < len(pkts); {
+		proto := pkts[i].Proto
+		j := i + 1
+		for j < len(pkts) && pkts[j].Proto == proto {
+			j++
+		}
+		if fn := handlers[proto]; fn != nil {
+			fn(pkts[i:j])
+		}
+		i = j
 	}
 }
 

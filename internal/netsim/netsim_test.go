@@ -27,10 +27,11 @@ type collector struct {
 func newCollector(h *Host, proto uint8) *collector {
 	c := &collector{ch: make(chan *wire.Packet, 1024)}
 	h.Register(proto, func(p *wire.Packet) {
+		q := *p // the header is the link's until the handler returns
 		c.mu.Lock()
-		c.pkts = append(c.pkts, p)
+		c.pkts = append(c.pkts, &q)
 		c.mu.Unlock()
-		c.ch <- p
+		c.ch <- &q
 	})
 	return c
 }

@@ -94,16 +94,16 @@ func (r *Ring[T]) Len() int {
 // TryPush enqueues v and rings the doorbell. It returns false — without
 // blocking or ringing — when the ring is full.
 func (r *Ring[T]) TryPush(v T) bool {
-	if !r.tryPushQuiet(v) {
+	if !r.TryPushQuiet(v) {
 		return false
 	}
 	r.Ring()
 	return true
 }
 
-// tryPushQuiet enqueues without ringing (PushBatch rings once at the
-// end of a burst).
-func (r *Ring[T]) tryPushQuiet(v T) bool {
+// TryPushQuiet enqueues without ringing: a producer that pushes a burst
+// element by element calls Ring once at the end (PushBatch does).
+func (r *Ring[T]) TryPushQuiet(v T) bool {
 	var c *cell[T]
 	pos := r.head.Load()
 	for {
@@ -135,7 +135,7 @@ claimed:
 func (r *Ring[T]) PushBatch(vs []T) int {
 	n := 0
 	for _, v := range vs {
-		if !r.tryPushQuiet(v) {
+		if !r.TryPushQuiet(v) {
 			break
 		}
 		n++

@@ -96,10 +96,10 @@ type Conn struct {
 	iss      uint32
 	sndUna   uint32
 	sndNxt   uint32
-	sndMax   uint32 // highest sequence ever sent (for Karn after go-back-N)
-	sndBuf   []byte // bytes [sndUna, sndUna+len)
-	sndWnd   int    // peer's advertised window, scaled
-	sndScale uint8  // peer's window scale
+	sndMax   uint32  // highest sequence ever sent (for Karn after go-back-N)
+	sndBuf   sendBuf // bytes [sndUna, sndUna+Len())
+	sndWnd   int     // peer's advertised window, scaled
+	sndScale uint8   // peer's window scale
 	mss      int
 	ctrl     cc.Controller
 
@@ -122,34 +122,51 @@ type Conn struct {
 	rttPending   bool
 	rttSeq       uint32
 	rttStart     time.Time // wall clock
-	txLog        []txEntry // per-segment send times for dense RTT samples
+	txLog        txLog     // per-segment send times for dense RTT samples
 
 	// rtxTimer is an intrusive node on the stack's timing wheel,
 	// embedded so the RTO/TLP/persist rearm cycle — the hottest timer
-	// churn in the stack — never allocates.
-	rtxTimer timingwheel.Timer
-	rtxArmed bool
-	tlpFired bool      // a tail-loss probe was sent for the current flight
-	oldestTx time.Time // wall time the oldest unacked byte was first sent
-	userTO   time.Duration
-	synTries int
-	persistQ bool // retransmit timer armed in persist (zero-window) mode
+	// churn in the stack — never allocates. The three callbacks it is
+	// armed with are bound to the connection once, here, for the same
+	// reason: a method value allocates each time it is taken.
+	rtxTimer  timingwheel.Timer
+	rtoFn     func() // c.onRetransmitTimeout
+	probeFn   func() // c.onProbeTimeout
+	persistFn func() // c.onPersistTimeout
+	rtxArmed  bool
+	tlpFired  bool      // a tail-loss probe was sent for the current flight
+	oldestTx  time.Time // wall time the oldest unacked byte was first sent
+	userTO    time.Duration
+	synTries  int
+	persistQ  bool // retransmit timer armed in persist (zero-window) mode
 
 	// Receive state.
 	peerSYNOpts []wire.Option // options observed on the peer's SYN (§4.5 detection)
 	irs         uint32
 	rcvNxt      uint32
 	rcvQ        []rxSeg // in-order data, one pooled buffer per segment
-	rcvQBytes   int     // total bytes queued in rcvQ
+	rcvHead     int     // first unread entry of rcvQ; Read resets both when it catches up
+	rcvQBytes   int     // total bytes queued in rcvQ[rcvHead:]
 	ooo         []oooSeg
 	rcvScale    uint8
 	peerFin     bool // FIN consumed into the stream (EOF after rcvQ drains)
 	lastAdvW    int
 
-	// txSegs is the per-burst transmit scratch: maybeSendLocked collects
-	// every segment the windows allow, then hands the whole burst to the
-	// stack in one call. Reused across bursts (guarded by c.mu).
-	txSegs []wire.Segment
+	// Burst delivery (DESIGN.md §14): while the stack feeds this
+	// connection a run of segments that arrived together, rxMore says
+	// another one follows, and an in-order data segment then leaves its
+	// ACK and its reader wake-up to the run's last segment (ackDeferred)
+	// instead of emitting one per segment.
+	rxMore      bool
+	ackDeferred bool
+
+	// txPkts is the transmit scratch: segments are marshalled into pooled
+	// buffers as they are built and queued here, then the whole burst
+	// enters the network in one call. txPtrs is the same burst in the
+	// shape Host.SendBatch takes. Both are reused across bursts (guarded
+	// by c.mu); the network copies the headers before SendBatch returns.
+	txPkts []wire.Packet
+	txPtrs []*wire.Packet
 
 	readDeadline  time.Time
 	writeDeadline time.Time
@@ -271,6 +288,7 @@ func newConn(s *Stack, local, remote netip.AddrPort, active bool) *Conn {
 	}
 	c.readCond = sync.NewCond(&c.mu)
 	c.writeCond = sync.NewCond(&c.mu)
+	c.rtoFn, c.probeFn, c.persistFn = c.onRetransmitTimeout, c.onProbeTimeout, c.onPersistTimeout
 	s.mu.Lock()
 	c.iss = s.rng.Uint32()
 	s.mu.Unlock()
@@ -310,7 +328,7 @@ func (c *Conn) synOptions() []wire.Option {
 func (c *Conn) sendSYN(ack bool) {
 	w := min(c.recvWindow(), 65535) // unscaled in SYN
 	c.lastAdvW = w                  // RFC 5961 in-window checks need it pre-data
-	seg := &wire.Segment{
+	seg := wire.Segment{
 		SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 		Seq:     c.iss,
 		Flags:   wire.FlagSYN,
@@ -325,7 +343,7 @@ func (c *Conn) sendSYN(ack bool) {
 	if seqLT(c.sndMax, c.sndNxt) {
 		c.sndMax = c.sndNxt
 	}
-	c.transmit(seg)
+	c.transmit(&seg)
 }
 
 // input processes one inbound segment. owner, when non-nil, is the
@@ -335,17 +353,22 @@ func (c *Conn) sendSYN(ack bool) {
 func (c *Conn) input(seg *wire.Segment, owner []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.inputLocked(seg, owner)
+}
+
+// inputLocked is input for a caller that holds c.mu.
+func (c *Conn) inputLocked(seg *wire.Segment, owner []byte) {
 	c.stats.SegsRcvd++
 	c.stack.ctr.segsRcvd.Add(1)
-	if !c.inputLocked(seg, owner) {
+	if !c.step(seg, owner) {
 		bufpool.Put(owner)
 	}
 }
 
-// inputLocked runs the state machine on one segment and reports whether
+// step runs the state machine on one segment and reports whether
 // ownership of the payload buffer moved into the receive path.
 // Caller holds c.mu.
-func (c *Conn) inputLocked(seg *wire.Segment, owner []byte) bool {
+func (c *Conn) step(seg *wire.Segment, owner []byte) bool {
 	switch c.st {
 	case stateListen:
 		// Freshly created by a listener: this segment is the peer's SYN.
@@ -564,10 +587,7 @@ func (c *Conn) processAck(seg *wire.Segment) bool {
 		if finAcked {
 			dataAcked-- // the FIN's sequence slot
 		}
-		if dataAcked > len(c.sndBuf) {
-			dataAcked = len(c.sndBuf)
-		}
-		c.sndBuf = c.sndBuf[dataAcked:]
+		c.sndBuf.discard(min(dataAcked, c.sndBuf.Len()))
 		c.sndUna = ack
 		if seqLT(c.sndNxt, c.sndUna) {
 			c.sndNxt = c.sndUna // ack overtook a go-back-N reset point
@@ -576,22 +596,20 @@ func (c *Conn) processAck(seg *wire.Segment) bool {
 		c.dupAcks = 0
 		c.sndWnd = newWnd
 
+		// One clock read serves both RTT samples and oldestTx below.
+		now := time.Now()
 		// RTT sample (Karn: only if the timed segment was never
 		// retransmitted — rttPending is cleared on any retransmission).
 		var rtt time.Duration
 		if c.rttPending && seqLEQ(c.rttSeq, ack) {
-			rtt = c.stack.clock.VirtualSince(c.rttStart)
+			rtt = c.stack.clock.Virtual(now.Sub(c.rttStart))
 			c.updateRTO(rtt)
 			c.rttPending = false
 		}
 		// Dense per-segment samples from the transmit log feed the
 		// congestion controller (HyStart needs per-ack delay signals).
-		for len(c.txLog) > 0 && seqLEQ(c.txLog[0].end, ack) {
-			e := c.txLog[0]
-			c.txLog = c.txLog[1:]
-			if e.end == ack {
-				rtt = c.stack.clock.VirtualSince(e.at)
-			}
+		if at, ok := c.txLog.ackedThrough(ack); ok {
+			rtt = c.stack.clock.Virtual(now.Sub(at))
 		}
 
 		if c.inRecovery {
@@ -625,7 +643,7 @@ func (c *Conn) processAck(seg *wire.Segment) bool {
 		}
 		c.oldestTx = time.Time{}
 		if c.bytesInFlight() > 0 {
-			c.oldestTx = time.Now()
+			c.oldestTx = now
 		}
 		c.rtoBackoff = 0
 		c.tlpFired = false
@@ -713,6 +731,13 @@ func (c *Conn) processData(seg *wire.Segment, owner []byte) {
 		fin = false
 	}
 
+	// Only the plainest segment may leave its ACK to a successor: whole,
+	// exactly in order, no FIN, nothing waiting for reassembly, and a
+	// window open wide enough that the peer is not waiting to hear of it.
+	// Everything else tells the peer where we stand at once.
+	plain := seg.Seq == c.rcvNxt && len(data) == len(seg.Payload) && len(data) > 0 &&
+		!seg.Flags.Has(wire.FlagFIN) && len(c.ooo) == 0 && c.lastAdvW >= c.mss
+
 	if seq == c.rcvNxt {
 		c.ingest(data, fin, owner)
 		c.drainOOO()
@@ -721,8 +746,25 @@ func (c *Conn) processData(seg *wire.Segment, owner []byte) {
 	} else {
 		bufpool.Put(owner)
 	}
+	if plain && c.rxMore {
+		c.ackDeferred = true
+		return
+	}
+	c.ackDeferred = false
 	c.sendAck()
 	c.readCond.Broadcast()
+}
+
+// flushAck sends the cumulative ACK and the reader wake-up a run of
+// in-order segments deferred, if the run ended without a segment that
+// did both (its last segment was dropped or carried no data).
+// Caller holds c.mu.
+func (c *Conn) flushAck() {
+	if c.ackDeferred {
+		c.ackDeferred = false
+		c.sendAck()
+		c.readCond.Broadcast()
+	}
 }
 
 // ingest queues in-order data (and FIN) for Read. The data slice and its
@@ -730,6 +772,12 @@ func (c *Conn) processData(seg *wire.Segment, owner []byte) {
 // no usable data releases owner. Caller holds c.mu.
 func (c *Conn) ingest(data []byte, fin bool, owner []byte) {
 	if len(data) > 0 {
+		if len(c.rcvQ) == cap(c.rcvQ) && c.rcvHead > 0 {
+			// Reclaim the entries Read has consumed before growing.
+			n := copy(c.rcvQ, c.rcvQ[c.rcvHead:])
+			clear(c.rcvQ[n:])
+			c.rcvQ, c.rcvHead = c.rcvQ[:n], 0
+		}
 		c.rcvQ = append(c.rcvQ, rxSeg{data: data, owner: owner})
 		c.rcvQBytes += len(data)
 		c.rcvNxt += uint32(len(data))
@@ -925,7 +973,7 @@ func (c *Conn) windowField() uint16 {
 
 // sendAck emits a pure ACK (with SACK blocks if any). Caller holds c.mu.
 func (c *Conn) sendAck() {
-	seg := &wire.Segment{
+	seg := wire.Segment{
 		SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 		Seq: c.sndNxt, Ack: c.rcvNxt,
 		Flags:  wire.FlagACK,
@@ -934,28 +982,55 @@ func (c *Conn) sendAck() {
 	if blocks := c.sackBlocks(); blocks != nil {
 		seg.Options = append(seg.Options, wire.SACKOption(blocks))
 	}
-	c.transmit(seg)
+	c.transmit(&seg)
 }
 
-// transmit serializes and hands the segment to the host. Caller holds c.mu.
+// transmit sends one segment now. Caller holds c.mu.
 func (c *Conn) transmit(seg *wire.Segment) {
-	c.stats.SegsSent++
-	c.stack.ctr.segsSent.Add(1)
-	c.stack.sendSegment(c.local.Addr(), c.remote.Addr(), seg)
+	c.queueSegment(seg)
+	c.flushSegments()
 }
 
-// transmitBatch sends the accumulated txSegs burst in one stack call —
-// one route lookup and one link-queue lock for the whole ACK-clocked
-// flight instead of per segment. Caller holds c.mu.
-func (c *Conn) transmitBatch() {
-	n := len(c.txSegs)
+// queueSegment marshals seg into a pooled buffer and appends the packet
+// to the pending burst; seg and its payload are free for reuse on return.
+// Ownership of the buffer follows the packet: the receiving stack (or a
+// netsim drop site) returns it to the pool. Caller holds c.mu.
+func (c *Conn) queueSegment(seg *wire.Segment) {
+	hdrLen, err := seg.HeaderLen()
+	if err != nil {
+		return
+	}
+	buf := bufpool.Get(hdrLen + len(seg.Payload))
+	if _, err := seg.MarshalInto(buf, c.local.Addr(), c.remote.Addr()); err != nil {
+		bufpool.Put(buf)
+		return
+	}
+	c.txPkts = append(c.txPkts, wire.Packet{
+		Src: c.local.Addr(), Dst: c.remote.Addr(), Proto: wire.ProtoTCP, TTL: 64, Payload: buf,
+	})
+}
+
+// flushSegments hands the pending burst to the host in one call — one
+// route lookup and one link-queue lock for a whole ACK-clocked flight.
+// Caller holds c.mu.
+func (c *Conn) flushSegments() {
+	n := len(c.txPkts)
+	if n == 0 {
+		return
+	}
 	c.stats.SegsSent += uint64(n)
 	c.stack.ctr.segsSent.Add(uint64(n))
-	c.stack.sendSegments(c.local.Addr(), c.remote.Addr(), c.txSegs)
-	for i := range c.txSegs {
-		c.txSegs[i] = wire.Segment{} // drop sndBuf references
+	c.txPtrs = c.txPtrs[:0]
+	for i := range c.txPkts {
+		c.txPtrs = append(c.txPtrs, &c.txPkts[i])
 	}
-	c.txSegs = c.txSegs[:0]
+	if c.stack.host.SendBatch(c.txPtrs) != nil {
+		for i := range c.txPkts {
+			bufpool.Put(c.txPkts[i].Payload) // no route: the burst never entered the network
+		}
+	}
+	clear(c.txPkts) // drop the payload references
+	c.txPkts = c.txPkts[:0]
 }
 
 // failLocked terminates with err. Caller holds c.mu.
@@ -1046,7 +1121,7 @@ func (c *Conn) Info() Info {
 		Ssthresh:          c.ctrl.Ssthresh(),
 		BytesInFlight:     c.bytesInFlight(),
 		PeerWindow:        c.sndWnd,
-		SendQueue:         len(c.sndBuf),
+		SendQueue:         c.sndBuf.Len(),
 		RecvQueue:         c.rcvQBytes,
 		SRTT:              c.srtt,
 		RTTVar:            c.rttvar,

@@ -20,20 +20,21 @@ func (c *Conn) Read(b []byte) (int, error) {
 	for {
 		if c.rcvQBytes > 0 {
 			n := 0
-			for n < len(b) && len(c.rcvQ) > 0 {
-				s := &c.rcvQ[0]
+			for n < len(b) && c.rcvHead < len(c.rcvQ) {
+				s := &c.rcvQ[c.rcvHead]
 				k := copy(b[n:], s.data)
 				n += k
 				if k == len(s.data) {
 					bufpool.Put(s.owner)
-					c.rcvQ[0] = rxSeg{}
-					c.rcvQ = c.rcvQ[1:]
+					*s = rxSeg{}
+					c.rcvHead++
 				} else {
 					s.data = s.data[k:]
 				}
 			}
-			if len(c.rcvQ) == 0 {
-				c.rcvQ = nil // let the drained backing array go
+			if c.rcvHead == len(c.rcvQ) {
+				// Caught up: rewind, keeping the array for the next burst.
+				c.rcvQ, c.rcvHead = c.rcvQ[:0], 0
 			}
 			c.rcvQBytes -= n
 			// Window update: if we had closed the window, reopen it.
@@ -76,16 +77,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if !c.writeDeadline.IsZero() && !time.Now().Before(c.writeDeadline) {
 			return total, os.ErrDeadlineExceeded
 		}
-		space := c.stack.config.SendBuf - len(c.sndBuf)
-		if space <= 0 || c.st == stateSynSent || c.st == stateSynRcvd {
+		if c.sndBuf.Len() >= c.stack.config.SendBuf || c.st == stateSynSent || c.st == stateSynRcvd {
 			c.writeCond.Wait()
 			continue
 		}
-		n := min(space, len(b))
-		if c.bytesInFlight() == 0 && len(c.sndBuf) == 0 {
+		if c.bytesInFlight() == 0 && c.sndBuf.Len() == 0 {
 			c.oldestTx = time.Now()
 		}
-		c.sndBuf = append(c.sndBuf, b[:n]...)
+		n := c.sndBuf.write(b, c.stack.config.SendBuf)
 		b = b[n:]
 		total += n
 		c.maybeSendLocked()
@@ -95,25 +94,22 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 // maybeSendLocked pushes as much buffered data as the congestion and flow
 // control windows allow, then a FIN if one is pending. The segments of one
-// call are collected into a burst and handed to the stack together, so a
-// full ACK-clocked flight costs one route lookup and one link-queue pass.
-// Caller holds c.mu.
+// call are marshalled as they are cut and handed to the host together, so a
+// full ACK-clocked flight costs one route lookup, one link-queue pass and
+// one clock read. Caller holds c.mu.
 func (c *Conn) maybeSendLocked() {
 	if c.st != stateEstablished && c.st != stateCloseWait &&
 		c.st != stateFinWait1 && c.st != stateClosing && c.st != stateLastAck {
 		return
 	}
-	for {
+	var now time.Time // read once, when the first segment is cut
+	for !c.finSent {
 		offset := int(c.sndNxt - c.sndUna) // first unsent byte in sndBuf
-		if c.finSent {
-			break
-		}
-		unsent := len(c.sndBuf) - offset
+		unsent := c.sndBuf.Len() - offset
 		if unsent <= 0 {
 			break
 		}
-		wnd := min(c.ctrl.CWnd(), c.sndWnd)
-		usable := wnd - int(c.sndNxt-c.sndUna)
+		usable := min(c.ctrl.CWnd(), c.sndWnd) - offset
 		if usable <= 0 {
 			if c.sndWnd == 0 && c.bytesInFlight() == 0 {
 				c.armPersist()
@@ -126,10 +122,13 @@ func (c *Conn) maybeSendLocked() {
 			Seq: c.sndNxt, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK,
 			Window:  c.windowField(),
-			Payload: c.sndBuf[offset : offset+n],
+			Payload: c.sndBuf.view(offset, n),
 		}
 		if n == unsent {
 			seg.Flags |= wire.FlagPSH
+		}
+		if now.IsZero() {
+			now = time.Now()
 		}
 		isNew := !seqLT(c.sndNxt, c.sndMax)
 		c.sndNxt += uint32(n)
@@ -142,23 +141,21 @@ func (c *Conn) maybeSendLocked() {
 			if !c.rttPending {
 				c.rttPending = true
 				c.rttSeq = c.sndNxt
-				c.rttStart = time.Now()
+				c.rttStart = now
 			}
-			if len(c.txLog) < 4096 {
-				c.txLog = append(c.txLog, txEntry{end: c.sndNxt, at: time.Now()})
-			}
+			c.txLog.push(c.sndNxt, now)
 		}
 		if c.oldestTx.IsZero() {
-			c.oldestTx = time.Now()
+			c.oldestTx = now
 		}
-		c.txSegs = append(c.txSegs, seg)
+		c.queueSegment(&seg)
 	}
-	if len(c.txSegs) > 0 {
-		c.transmitBatch()
+	if len(c.txPkts) > 0 {
+		c.flushSegments()
 		c.armRetransmit()
 	}
 	// FIN once everything is sent.
-	if c.closePending && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
+	if c.closePending && !c.finSent && int(c.sndNxt-c.sndUna) == c.sndBuf.Len() {
 		c.sendFIN()
 	}
 }
@@ -167,7 +164,7 @@ func (c *Conn) maybeSendLocked() {
 func (c *Conn) sendFIN() {
 	c.finSent = true
 	c.finSeq = c.sndNxt
-	seg := &wire.Segment{
+	seg := wire.Segment{
 		SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 		Seq: c.sndNxt, Ack: c.rcvNxt,
 		Flags:  wire.FlagFIN | wire.FlagACK,
@@ -177,7 +174,7 @@ func (c *Conn) sendFIN() {
 	if seqLT(c.sndMax, c.sndNxt) {
 		c.sndMax = c.sndNxt
 	}
-	c.transmit(seg)
+	c.transmit(&seg)
 	c.armRetransmit()
 	switch c.st {
 	case stateEstablished:
@@ -215,11 +212,11 @@ func (c *Conn) Abort() {
 	if c.st == stateClosed {
 		return
 	}
-	seg := &wire.Segment{
+	seg := wire.Segment{
 		SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: wire.FlagRST | wire.FlagACK,
 	}
-	c.transmit(seg)
+	c.transmit(&seg)
 	c.teardown(ErrClosed)
 }
 
@@ -320,11 +317,11 @@ func (c *Conn) currentRTO() time.Duration {
 func (c *Conn) armRetransmit() {
 	c.persistQ = false
 	d := c.currentRTO()
-	cb := c.onRetransmitTimeout
+	cb := c.rtoFn
 	if !c.tlpFired && c.rtoBackoff == 0 && c.srtt > 0 && c.st == stateEstablished {
 		if pto := 2*c.srtt + 10*time.Millisecond; pto < d {
 			d = pto
-			cb = c.onProbeTimeout
+			cb = c.probeFn
 		}
 	}
 	c.stack.clock.Schedule(&c.rtxTimer, d, cb)
@@ -340,23 +337,21 @@ func (c *Conn) onProbeTimeout() {
 		return
 	}
 	c.tlpFired = true
-	if c.bytesInFlight() > 0 && len(c.sndBuf) > 0 {
+	if c.bytesInFlight() > 0 && c.sndBuf.Len() > 0 {
 		endOff := int(c.sndNxt - c.sndUna)
 		if c.finSent {
 			endOff = int(c.finSeq - c.sndUna)
 		}
-		if endOff > len(c.sndBuf) {
-			endOff = len(c.sndBuf)
-		}
+		endOff = min(endOff, c.sndBuf.Len())
 		n := min(c.mss, endOff)
 		if n > 0 {
 			startOff := endOff - n
-			seg := &wire.Segment{
+			seg := wire.Segment{
 				SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 				Seq: c.sndUna + uint32(startOff), Ack: c.rcvNxt,
 				Flags:   wire.FlagACK | wire.FlagPSH,
 				Window:  c.windowField(),
-				Payload: c.sndBuf[startOff:endOff],
+				Payload: c.sndBuf.view(startOff, n),
 			}
 			c.stats.Retransmits++
 			c.stack.ctr.retransmits.Add(1)
@@ -368,8 +363,8 @@ func (c *Conn) onProbeTimeout() {
 				S:    "tlp",
 			})
 			c.rttPending = false
-			c.txLog = nil
-			c.transmit(seg)
+			c.txLog.reset()
+			c.transmit(&seg)
 		}
 	}
 	c.armRetransmit() // now at full RTO
@@ -381,7 +376,7 @@ func (c *Conn) armPersist() {
 		return
 	}
 	c.persistQ = true
-	c.stack.clock.Schedule(&c.rtxTimer, c.currentRTO(), c.onPersistTimeout)
+	c.stack.clock.Schedule(&c.rtxTimer, c.currentRTO(), c.persistFn)
 }
 
 func (c *Conn) cancelRetransmit() {
@@ -440,7 +435,7 @@ func (c *Conn) onRetransmitTimeout() {
 	// are trimmed by the receiver.
 	c.stats.Retransmits++
 	c.stack.ctr.retransmits.Add(1)
-	c.txLog = nil
+	c.txLog.reset()
 	c.rtoRecover = c.sndMax
 	c.sndNxt = c.sndUna
 	if c.finSent {
@@ -458,20 +453,20 @@ func (c *Conn) onPersistTimeout() {
 		return
 	}
 	offset := int(c.sndNxt - c.sndUna)
-	if offset < len(c.sndBuf) {
+	if offset < c.sndBuf.Len() {
 		// Send a single probe byte beyond the advertised window.
-		seg := &wire.Segment{
+		seg := wire.Segment{
 			SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 			Seq: c.sndNxt, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK | wire.FlagPSH,
 			Window:  c.windowField(),
-			Payload: c.sndBuf[offset : offset+1],
+			Payload: c.sndBuf.view(offset, 1),
 		}
 		c.sndNxt++
 		if seqLT(c.sndMax, c.sndNxt) {
 			c.sndMax = c.sndNxt
 		}
-		c.transmit(seg)
+		c.transmit(&seg)
 	}
 	c.rtoBackoff++
 	c.persistQ = false
@@ -532,10 +527,12 @@ func (c *Conn) sackRetransmit(budget int) {
 			continue
 		}
 		off := int(c.rtxNext - c.sndUna)
-		if off < 0 || off >= len(c.sndBuf) {
+		if off < 0 || off >= c.sndBuf.Len() {
 			return
 		}
-		n := min(c.mss, len(c.sndBuf)-off)
+		// Never past sndNxt: bytes beyond it have not been sent, and a
+		// peer acknowledging them would be acknowledging past sndMax.
+		n := min(c.mss, c.sndBuf.Len()-off, int(c.sndNxt-c.rtxNext))
 		for _, b := range c.sacked {
 			if seqLT(c.rtxNext, b.Left) {
 				if hole := int(b.Left - c.rtxNext); hole < n {
@@ -544,12 +541,12 @@ func (c *Conn) sackRetransmit(budget int) {
 				break
 			}
 		}
-		seg := &wire.Segment{
+		seg := wire.Segment{
 			SrcPort: c.local.Port(), DstPort: c.remote.Port(),
 			Seq: c.rtxNext, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK | wire.FlagPSH,
 			Window:  c.windowField(),
-			Payload: c.sndBuf[off : off+n],
+			Payload: c.sndBuf.view(off, n),
 		}
 		c.stats.Retransmits++
 		c.stack.ctr.retransmits.Add(1)
@@ -561,8 +558,8 @@ func (c *Conn) sackRetransmit(budget int) {
 			S:    "sack",
 		})
 		c.rttPending = false // Karn
-		c.txLog = nil
-		c.transmit(seg)
+		c.txLog.reset()
+		c.transmit(&seg)
 		c.rtxNext += uint32(n)
 		pipe += n
 		budget--
@@ -586,58 +583,4 @@ func (c *Conn) sackedBytes() int {
 		}
 	}
 	return total
-}
-
-// retransmitOne resends the first unsacked segment at sndUna.
-// Caller holds c.mu.
-func (c *Conn) retransmitOne() {
-	if len(c.sndBuf) == 0 {
-		if c.finSent && seqLT(c.sndUna, c.sndNxt) {
-			// Retransmit the FIN.
-			seg := &wire.Segment{
-				SrcPort: c.local.Port(), DstPort: c.remote.Port(),
-				Seq: c.finSeq, Ack: c.rcvNxt,
-				Flags:  wire.FlagFIN | wire.FlagACK,
-				Window: c.windowField(),
-			}
-			c.stats.Retransmits++
-			c.stack.ctr.retransmits.Add(1)
-			c.trace().Emit(telemetry.Event{
-				Kind: telemetry.EvTCPRetransmit,
-				Path: c.traceID,
-				A:    int64(c.finSeq),
-				B:    0,
-				S:    "fin",
-			})
-			c.transmit(seg)
-		}
-		return
-	}
-	c.txLog = nil // Karn
-	n := min(len(c.sndBuf), c.mss)
-	// Honor the SACK scoreboard: do not resend past the first sacked block.
-	if len(c.sacked) > 0 && seqLT(c.sndUna, c.sacked[0].Left) {
-		hole := int(c.sacked[0].Left - c.sndUna)
-		if hole < n {
-			n = hole
-		}
-	}
-	seg := &wire.Segment{
-		SrcPort: c.local.Port(), DstPort: c.remote.Port(),
-		Seq: c.sndUna, Ack: c.rcvNxt,
-		Flags:   wire.FlagACK | wire.FlagPSH,
-		Window:  c.windowField(),
-		Payload: c.sndBuf[:n],
-	}
-	c.stats.Retransmits++
-	c.stack.ctr.retransmits.Add(1)
-	c.trace().Emit(telemetry.Event{
-		Kind: telemetry.EvTCPRetransmit,
-		Path: c.traceID,
-		A:    int64(c.sndUna),
-		B:    int64(n),
-		S:    "rto",
-	})
-	c.rttPending = false // Karn
-	c.transmit(seg)
 }

@@ -1,0 +1,383 @@
+package tcpnet
+
+// Tests for the per-segment path: the ring send buffer against a byte-slice
+// model, byte-exact delivery through loss and reordering with the pooled
+// buffers accounted for, seeded reproducibility of the segments a stack
+// emits, and the allocation bound and benchmark of a bulk transfer.
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/netip"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
+	"github.com/pluginized-protocols/gotcpls/internal/netsim"
+	"github.com/pluginized-protocols/gotcpls/internal/wire"
+)
+
+var segpathSeed = flag.Int64("segpath.seed", 0, "seed for the randomized segment-path tests (0: from the clock)")
+
+// testSeed returns the seed for a randomized test and logs it, so a
+// failure can be replayed with -segpath.seed.
+func testSeed(t *testing.T) int64 {
+	seed := *segpathSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("seed %d (replay with -segpath.seed=%d)", seed, seed)
+	return seed
+}
+
+// TestSendBufMatchesModel drives the send buffer through random writes,
+// discards and views — sized so the ring wraps and grows many times —
+// against a plain byte slice.
+func TestSendBufMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(testSeed(t)))
+	for _, limit := range []int{1, 100, minSendBufCap - 1, minSendBufCap, 3*minSendBufCap + 17, 64 << 10} {
+		var sb sendBuf
+		var model []byte
+		wraps := 0
+		for step := 0; step < 4000; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				b := make([]byte, rng.Intn(2*limit+1))
+				rng.Read(b)
+				n := sb.write(b, limit)
+				if want := min(len(b), limit-len(model)); n != want {
+					t.Fatalf("limit %d: write took %d of %d with %d held, want %d", limit, n, len(b), len(model), want)
+				}
+				model = append(model, b[:n]...)
+			case 1:
+				n := rng.Intn(len(model) + 1)
+				sb.discard(n)
+				model = model[n:]
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				off := rng.Intn(len(model))
+				n := 1 + rng.Intn(min(1400, len(model)-off))
+				got := sb.view(off, n)
+				if !bytes.Equal(got, model[off:off+n]) {
+					t.Fatalf("limit %d step %d: view(%d,%d) differs from the model", limit, step, off, n)
+				}
+				if cap(sb.wrap) > 0 && &got[0] == &sb.wrap[:1][0] {
+					wraps++
+				}
+			}
+			if sb.Len() != len(model) || len(sb.buf) > limit {
+				t.Fatalf("limit %d: holds %d in an array of %d, model %d", limit, sb.Len(), len(sb.buf), len(model))
+			}
+		}
+		if limit > 1400 && wraps == 0 {
+			t.Errorf("limit %d: no view ever straddled the end of the ring", limit)
+		}
+	}
+}
+
+// TestSendPathMatchesModel is the same comparison one level up: a raw peer
+// acknowledges a connection's stream at random — in full, partially (inside
+// a segment), selectively around segments it pretends were lost, or not at
+// all until the retransmission timer fires — while the connection's send
+// buffer, bounded well below the stream length, wraps again and again.
+// Every payload the stack transmits, first transmission or go-back-N or
+// SACK-hole retransmission, must be exactly the bytes of the written
+// stream at that sequence number.
+func TestSendPathMatchesModel(t *testing.T) {
+	seed := testSeed(t)
+	rng, writerRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1))
+	const total = 160 << 10
+	h := newScriptHarness(t, Config{SendBuf: 3*minSendBufCap + 1000})
+	h.run(handshakeSteps())
+
+	model := make([]byte, total)
+	rng.Read(model)
+	writeErr := make(chan error, 1)
+	go func() {
+		for off := 0; off < total; {
+			n := min(1+writerRng.Intn(9000), total-off)
+			if _, err := h.conn.Write(model[off : off+n]); err != nil {
+				writeErr <- err
+				return
+			}
+			off += n
+		}
+		writeErr <- nil
+	}()
+
+	// got marks the stream bytes the peer has "received"; acked is the
+	// cumulative ACK it last sent.
+	got := make([]bool, total)
+	acked := 0
+	prefix := func() int {
+		n := acked
+		for n < total && got[n] {
+			n++
+		}
+		return n
+	}
+	ack := func(upTo int) {
+		var opts []wire.Option
+		var blocks []wire.SACKBlock
+		for i := upTo; i < total && len(blocks) < 3; {
+			if !got[i] {
+				i++
+				continue
+			}
+			j := i
+			for j < total && got[j] {
+				j++
+			}
+			blocks = append(blocks, wire.SACKBlock{Left: h.iss + 1 + uint32(i), Right: h.iss + 1 + uint32(j)})
+			i = j
+		}
+		if len(blocks) > 0 {
+			opts = append(opts, wire.SACKOption(blocks))
+		}
+		buf, err := h.seg(wire.FlagACK, scriptPeerISS+1, h.iss+1+uint32(upTo), 0, opts...).Marshal(clientAddr, serverAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.peer.Send(&wire.Packet{Src: clientAddr, Dst: serverAddr, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}); err != nil {
+			t.Fatal(err)
+		}
+		acked = upTo
+	}
+
+	segments, retransmitted := 0, 0
+	deadline := time.After(60 * time.Second)
+	for acked < total {
+		var c capture
+		select {
+		case c = <-h.out:
+		case <-deadline:
+			t.Fatalf("stalled with %d of %d bytes acknowledged (%d segments seen): %+v", acked, total, segments, h.conn.Info())
+		}
+		if len(c.seg.Payload) == 0 {
+			continue
+		}
+		segments++
+		off := int(c.seg.Seq - (h.iss + 1))
+		if off < 0 || off+len(c.seg.Payload) > total {
+			t.Fatalf("segment [%d,+%d) outside the written stream", off, len(c.seg.Payload))
+		}
+		if !bytes.Equal(c.seg.Payload, model[off:off+len(c.seg.Payload)]) {
+			t.Fatalf("segment %d at stream offset %d (+%d) does not carry the written bytes", segments, off, len(c.seg.Payload))
+		}
+		if got[off] {
+			retransmitted++
+		}
+		if rng.Intn(100) < 6 {
+			continue // lost on the way to the peer: no trace of it
+		}
+		for i := range c.seg.Payload {
+			got[off+i] = true
+		}
+		p := prefix()
+		switch r := rng.Intn(100); {
+		case r < 8:
+			// The ACK is lost: the sender finds out by probe or timeout.
+		case r < 30 && p > acked+1:
+			ack(acked + 1 + rng.Intn(p-acked-1)) // partial: inside what arrived
+		default:
+			ack(p)
+		}
+	}
+	if err := <-writeErr; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	st := h.conn.Info().Stats
+	t.Logf("%d segments, %d repeats; stack: %d retransmits, %d fast, %d timeouts",
+		segments, retransmitted, st.Retransmits, st.FastRetransmits, st.Timeouts)
+	if st.Retransmits == 0 || st.FastRetransmits == 0 {
+		t.Errorf("recovery paths not exercised: %+v", st)
+	}
+	if st.ChallengeAcks != 0 {
+		// The peer only acknowledges bytes it was sent. (A SACK-hole
+		// retransmission that ran past sndNxt into unsent data once made
+		// such an ACK look like one for data never sent.)
+		t.Errorf("%d of the peer's ACKs were challenged", st.ChallengeAcks)
+	}
+}
+
+// TestBulkLossReorderByteExact moves a stream between two stacks over a
+// link that drops 2 % of packets, first on its own (pooled buffers end to
+// end: burst delivery, the reassembly queue, deferred ACKs) and then with a
+// reorder injector, and requires byte-exact delivery and every pooled
+// buffer back in the pool. Run under -race it is the concurrency check of
+// the whole segment path.
+func TestBulkLossReorderByteExact(t *testing.T) {
+	for _, reorder := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reorder=%v", reorder), func(t *testing.T) {
+			seed := testSeed(t)
+			lc := bufpool.StartLeakCheck()
+			defer lc.Stop()
+			e := env(t, netsim.LinkConfig{BandwidthBps: 200e6, Delay: 500 * time.Microsecond, Loss: 0.02},
+				Config{}, netsim.WithSeed(seed))
+			defer e.net.Close()
+			var ro *netsim.Reorderer
+			if reorder {
+				ro = &netsim.Reorderer{EveryN: 7}
+				e.link.Use(ro)
+			}
+			c, s := e.connect(t)
+			transfer(t, c, s, 2<<20, 60*time.Second)
+			s.Close()
+			if st := e.link.Stats(); st.DropLoss == 0 {
+				t.Errorf("no packet was dropped: %+v", st)
+			}
+			if inf := c.Info(); inf.Stats.Retransmits == 0 {
+				t.Errorf("no retransmission on a lossy link: %+v", inf.Stats)
+			}
+			if reorder && ro.Swapped() == 0 {
+				t.Error("the reorder injector never fired")
+			}
+			// Both ends closed: once the FIN exchange has drained, nothing
+			// may still hold a pooled buffer.
+			deadline := time.Now().Add(10 * time.Second)
+			for lc.Outstanding() != 0 {
+				if time.Now().After(deadline) {
+					gets, puts := lc.Stats()
+					t.Fatalf("%d pooled buffers never returned (gets=%d puts=%d)", lc.Outstanding(), gets, puts)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestStackSeedReproducible: two networks built with the same seed emit
+// identical SYNs — sequence numbers and ports — and a different seed moves
+// the sequence numbers.
+func TestStackSeedReproducible(t *testing.T) {
+	syns := func(seed int64) []string {
+		var mu sync.Mutex
+		var out []string
+		e := env(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{}, netsim.WithSeed(seed),
+			netsim.WithTrace(func(ev netsim.TraceEvent) {
+				if ev.Kind != "send" {
+					return
+				}
+				seg, err := wire.UnmarshalSegment(ev.Packet.Payload, ev.Packet.Src, ev.Packet.Dst, true)
+				if err == nil && seg.Flags.Has(wire.FlagSYN) {
+					mu.Lock()
+					out = append(out, fmt.Sprintf("%d>%d %s seq=%d", seg.SrcPort, seg.DstPort, seg.Flags, seg.Seq))
+					mu.Unlock()
+				}
+			}))
+		defer e.net.Close()
+		for i := 0; i < 3; i++ {
+			c, s := e.connect(t)
+			c.Abort()
+			s.Abort()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return out
+	}
+	a, b, other := syns(42), syns(42), syns(43)
+	if len(a) != 6 {
+		t.Fatalf("want 3 SYNs and 3 SYN-ACKs, got %q", a)
+	}
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same seed, different SYNs:\n%q\n%q", a, b)
+	}
+	if fmt.Sprint(a) == fmt.Sprint(other) {
+		t.Fatalf("seeds 42 and 43 produced the same SYNs: %q", a)
+	}
+}
+
+// bulkPair is two stacks on a zero-delay, infinite-bandwidth link with one
+// established connection: wall time over it is CPU cost, not emulated delay.
+type bulkPair struct {
+	net            *netsim.Network
+	client, server *Stack
+	c, s           *Conn
+	block          []byte
+}
+
+func newBulkPair(tb testing.TB) *bulkPair {
+	n := netsim.New(netsim.WithSeed(1))
+	ch, sh := n.Host("client"), n.Host("server")
+	n.AddLink(ch, sh, clientAddr, serverAddr, netsim.LinkConfig{})
+	p := &bulkPair{net: n, client: NewStack(ch, Config{}), server: NewStack(sh, Config{}), block: make([]byte, 64<<10)}
+	tb.Cleanup(func() { p.client.Close(); p.server.Close(); n.Close() })
+	lst, err := p.server.Listen(netip.Addr{}, 443)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := lst.AcceptTCP(); err == nil {
+			accepted <- c
+		}
+	}()
+	if p.c, err = p.client.Dial(netip.Addr{}, netip.AddrPortFrom(serverAddr, 443), 5*time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	p.s = <-accepted
+	rand.New(rand.NewSource(1)).Read(p.block)
+	return p
+}
+
+// transfer writes n blocks at the client and reads them at the server.
+func (p *bulkPair) transfer(tb testing.TB, n int) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.CopyN(io.Discard, p.s, int64(n*len(p.block)))
+		done <- err
+	}()
+	for i := 0; i < n; i++ {
+		if _, err := p.c.Write(p.block); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func (p *bulkPair) segsSent() uint64 {
+	return p.client.Stats().SegsSent + p.server.Stats().SegsSent
+}
+
+// TestTCPNetBulkAllocsPerSegment is the alloc gate of the segment path: in
+// steady state a data segment and its ACK cross wire, tcpnet and netsim
+// without a heap allocation. The bound leaves room for what is per
+// transfer, not per segment (the reader goroutine, timer churn).
+func TestTCPNetBulkAllocsPerSegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	p := newBulkPair(t)
+	p.transfer(t, 32) // open the congestion window, size the buffers, fill the pools
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s0 := p.segsSent()
+	p.transfer(t, 256)
+	runtime.ReadMemStats(&m1)
+	segs := p.segsSent() - s0
+	perSeg := float64(m1.Mallocs-m0.Mallocs) / float64(segs)
+	t.Logf("%d allocations over %d segments: %.4f per segment", m1.Mallocs-m0.Mallocs, segs, perSeg)
+	if perSeg > 0.25 {
+		t.Fatalf("%.3f allocations per segment, want at most 0.25", perSeg)
+	}
+}
+
+// BenchmarkTCPNetBulk is the tcpnet row of the layer ledger: 64 KiB writes
+// over a raw connection pair, no TLS above it.
+func BenchmarkTCPNetBulk(b *testing.B) {
+	p := newBulkPair(b)
+	p.transfer(b, 32)
+	b.SetBytes(int64(len(p.block)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.transfer(b, b.N)
+}

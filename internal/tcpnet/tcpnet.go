@@ -20,6 +20,7 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -248,14 +249,24 @@ func NewStack(h *netsim.Host, config Config) *Stack {
 		conns:     make(map[fourTuple]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  49152,
-		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
+		rng:       rand.New(rand.NewSource(stackSeed(h))),
 		config:    config,
 	}
-	h.Register(wire.ProtoTCP, s.input)
+	h.RegisterBatch(wire.ProtoTCP, s.input)
 	if config.Metrics != nil {
 		s.RegisterMetrics(config.Metrics, config.MetricsName)
 	}
 	return s
+}
+
+// stackSeed derives the seed of a stack's RNG (initial sequence numbers)
+// from the network's seed and the host's name: two runs of a seeded
+// scenario emit the same segments, and two hosts of one network do not
+// share a sequence.
+func stackSeed(h *netsim.Host) int64 {
+	f := fnv.New64a()
+	f.Write([]byte(h.Name()))
+	return h.Network().Seed() ^ int64(f.Sum64())
 }
 
 // Host returns the underlying netsim host.
@@ -332,47 +343,99 @@ func (s *Stack) unregister(c *Conn) {
 	s.mu.Unlock()
 }
 
-// input demultiplexes one delivered packet. It runs on netsim delivery
-// goroutines. The packet's payload buffer is pooled: exactly one of the
-// branches below consumes it (Conn.input takes ownership); every other
-// outcome returns it to the pool here.
-func (s *Stack) input(p *wire.Packet) {
-	owner := p.Payload
-	seg, err := wire.UnmarshalSegment(p.Payload, p.Src, p.Dst, true)
-	if err != nil {
-		bufpool.Put(owner)
-		return // checksum or framing failure: drop silently like a NIC
+// input demultiplexes one delivered batch. It runs on netsim delivery
+// goroutines. Consecutive packets of one flow form a run: the run's
+// connection is looked up once and its segments are processed under one
+// hold of the connection's lock. Each packet's payload buffer is pooled:
+// exactly one outcome consumes it (the connection's receive path takes
+// ownership of queued data); every other outcome returns it to the pool
+// here. The packets themselves are the link's and are not retained.
+func (s *Stack) input(pkts []*wire.Packet) {
+	for len(pkts) > 0 {
+		n := 1
+		for n < len(pkts) && sameFlow(pkts[0], pkts[n]) {
+			n++
+		}
+		s.inputRun(pkts[:n])
+		pkts = pkts[n:]
 	}
+}
+
+// sameFlow reports whether two packets carry the same addresses and
+// ports, judged on the raw header: good enough to group a burst, and
+// inputRun rechecks nothing it relies on (a corrupt segment is dropped
+// by its checksum wherever it was grouped).
+func sameFlow(a, b *wire.Packet) bool {
+	return a.Src == b.Src && a.Dst == b.Dst && len(a.Payload) >= 4 && len(b.Payload) >= 4 &&
+		[4]byte(a.Payload) == [4]byte(b.Payload)
+}
+
+// inputRun processes consecutive packets of one flow.
+func (s *Stack) inputRun(pkts []*wire.Packet) {
+	// The segment and its options are decoded in place, on this stack
+	// frame, once per packet: nothing below retains them.
+	var opts [wire.MaxOptions]wire.Option
+	seg := wire.Segment{Options: opts[:0]}
+	var c *Conn // the run's connection, locked, from the first segment it accepts
+	release := func() {
+		c.rxMore = false
+		c.flushAck()
+		c.mu.Unlock()
+		c = nil
+	}
+	for i, p := range pkts {
+		owner := p.Payload
+		if seg.Unmarshal(p.Payload, p.Src, p.Dst, true) != nil {
+			bufpool.Put(owner)
+			continue // checksum or framing failure: drop silently like a NIC
+		}
+		if c == nil {
+			if c = s.demux(p, &seg); c == nil {
+				bufpool.Put(owner)
+				continue
+			}
+			c.mu.Lock()
+		}
+		c.rxMore = i+1 < len(pkts)
+		c.inputLocked(&seg, owner)
+		if c.st == stateClosed {
+			release() // torn down mid-run: what follows may be for a successor
+		}
+	}
+	if c != nil {
+		release()
+	}
+}
+
+// demux finds the connection a segment belongs to. A segment for no
+// connection is dealt with here — offered to a listener, answered with a
+// RST or ignored — and nil is returned; in every case the caller still
+// owns the payload buffer.
+func (s *Stack) demux(p *wire.Packet, seg *wire.Segment) *Conn {
 	local := netip.AddrPortFrom(p.Dst, seg.DstPort)
 	remote := netip.AddrPortFrom(p.Src, seg.SrcPort)
 
 	s.mu.Lock()
 	c := s.conns[fourTuple{local, remote}]
-	var l *Listener
-	if c == nil {
-		l = s.listeners[seg.DstPort]
-	}
+	l := s.listeners[seg.DstPort]
 	closed := s.closed
 	s.mu.Unlock()
-	if closed {
-		bufpool.Put(owner)
-		return
-	}
 	switch {
+	case closed:
+		return nil
 	case c != nil:
-		c.input(seg, owner)
+		return c
 	case l != nil && seg.Flags.Has(wire.FlagSYN) && !seg.Flags.Has(wire.FlagACK):
 		// SYN payloads are never queued; the buffer is done once the
 		// handshake state (with deep-copied options) is set up.
 		l.inputSYN(local, remote, seg)
-		bufpool.Put(owner)
 	case seg.Flags.Has(wire.FlagRST):
-		bufpool.Put(owner) // RST to nobody: ignore.
+		// RST to nobody: ignore.
 	default:
 		// No socket: answer with RST (unless it's an old ACK).
 		s.sendRST(local, remote, seg)
-		bufpool.Put(owner)
 	}
+	return nil
 }
 
 func (s *Stack) sendRST(local, remote netip.AddrPort, in *wire.Segment) {
@@ -390,9 +453,10 @@ func (s *Stack) sendRST(local, remote netip.AddrPort, in *wire.Segment) {
 	s.sendSegment(local.Addr(), remote.Addr(), rst)
 }
 
-// sendSegment marshals seg into a pooled buffer and hands it to the
-// host. Ownership of the buffer follows the packet: the receiving stack
-// (or a netsim drop site) returns it to the pool.
+// sendSegment marshals a segment no connection owns (a RST for a closed
+// port) into a pooled buffer and hands it to the host. Ownership of the
+// buffer follows the packet: the receiving stack (or a netsim drop site)
+// returns it to the pool.
 func (s *Stack) sendSegment(src, dst netip.Addr, seg *wire.Segment) {
 	hdrLen, err := seg.HeaderLen()
 	if err != nil {
@@ -403,38 +467,9 @@ func (s *Stack) sendSegment(src, dst netip.Addr, seg *wire.Segment) {
 		bufpool.Put(buf)
 		return
 	}
-	pkt := &wire.Packet{Src: src, Dst: dst, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}
-	if s.host.Send(pkt) != nil {
+	pkt := wire.Packet{Src: src, Dst: dst, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}
+	if s.host.Send(&pkt) != nil {
 		bufpool.Put(buf) // no route: the packet never entered the network
-	}
-}
-
-// sendSegments is the burst variant of sendSegment: every segment is
-// marshalled into its own pooled buffer, then the whole batch enters the
-// network through one SendBatch call (one route lookup, one link-queue
-// lock). All segments of a burst share one source and destination.
-func (s *Stack) sendSegments(src, dst netip.Addr, segs []wire.Segment) {
-	pkts := make([]*wire.Packet, 0, len(segs))
-	for i := range segs {
-		seg := &segs[i]
-		hdrLen, err := seg.HeaderLen()
-		if err != nil {
-			continue
-		}
-		buf := bufpool.Get(hdrLen + len(seg.Payload))
-		if _, err := seg.MarshalInto(buf, src, dst); err != nil {
-			bufpool.Put(buf)
-			continue
-		}
-		pkts = append(pkts, &wire.Packet{Src: src, Dst: dst, Proto: wire.ProtoTCP, TTL: 64, Payload: buf})
-	}
-	if len(pkts) == 0 {
-		return
-	}
-	if s.host.SendBatch(pkts) != nil {
-		for _, p := range pkts {
-			bufpool.Put(p.Payload)
-		}
 	}
 }
 
@@ -577,7 +612,7 @@ func (l *Listener) inputSYN(local, remote netip.AddrPort, seg *wire.Segment) {
 		return
 	}
 	c.listener = l
-	c.input(seg, nil) // owner stays with Stack.input; SYN data is not queued
+	c.input(seg, nil) // owner stays with Stack.inputRun; SYN data is not queued
 }
 
 // offer queues an established connection for Accept; drops it if the

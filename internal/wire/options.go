@@ -72,11 +72,14 @@ func (o *Option) String() string {
 	return fmt.Sprintf("opt%d(%d bytes)", o.Kind, len(o.Data))
 }
 
-// parseOptions decodes the option block. Each Option's Data aliases b —
-// callers that retain options past the packet's lifetime (the buffer may
-// be recycled) must deep-copy Data.
-func parseOptions(b []byte) ([]Option, error) {
-	var opts []Option
+// MaxOptions is the most options one header can carry: 40 bytes of
+// option space at two bytes per option minimum.
+const MaxOptions = MaxOptionSpace / 2
+
+// parseOptions decodes the option block, appending to opts. Each Option's
+// Data aliases b — callers that retain options past the packet's lifetime
+// (the buffer may be recycled) must deep-copy Data.
+func parseOptions(opts []Option, b []byte) ([]Option, error) {
 	for len(b) > 0 {
 		switch b[0] {
 		case optEOL:

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -199,63 +200,90 @@ func (s *Segment) MarshalInto(b []byte, src, dst netip.Addr) (int, error) {
 	return len(buf), nil
 }
 
-// UnmarshalSegment parses b into a Segment. If verify is true the TCP
-// checksum is validated against the pseudo-header for src/dst.
-// The returned segment's Payload and Options[i].Data alias b.
+// UnmarshalSegment parses b into a freshly allocated Segment. If verify is
+// true the TCP checksum is validated against the pseudo-header for
+// src/dst. The returned segment's Payload and Options[i].Data alias b.
 func UnmarshalSegment(b []byte, src, dst netip.Addr, verify bool) (*Segment, error) {
+	s := new(Segment)
+	if err := s.Unmarshal(b, src, dst, verify); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Unmarshal parses b into the caller's segment, overwriting every field.
+// The parsed options are appended to s.Options[:0], so a caller that
+// seeds Options with a fixed array (MaxOptions entries hold any legal
+// header) decodes without allocating. Payload and Options[i].Data alias
+// b. On error s is left partially filled and must not be used.
+func (s *Segment) Unmarshal(b []byte, src, dst netip.Addr, verify bool) error {
 	if len(b) < BaseHeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	hdrLen := int(b[12]>>4) * 4
 	if hdrLen < BaseHeaderLen || hdrLen > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	if verify {
-		if Checksum(src, dst, ProtoTCP, b) != 0 {
-			return nil, ErrChecksum
-		}
+	if verify && Checksum(src, dst, ProtoTCP, b) != 0 {
+		return ErrChecksum
 	}
-	s := &Segment{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Seq:     binary.BigEndian.Uint32(b[4:]),
-		Ack:     binary.BigEndian.Uint32(b[8:]),
-		Flags:   Flags(b[13]),
-		Window:  binary.BigEndian.Uint16(b[14:]),
-		Payload: b[hdrLen:],
-	}
-	opts, err := parseOptions(b[BaseHeaderLen:hdrLen])
-	if err != nil {
-		return nil, err
-	}
-	s.Options = opts
-	return s, nil
+	s.SrcPort = binary.BigEndian.Uint16(b[0:])
+	s.DstPort = binary.BigEndian.Uint16(b[2:])
+	s.Seq = binary.BigEndian.Uint32(b[4:])
+	s.Ack = binary.BigEndian.Uint32(b[8:])
+	s.Flags = Flags(b[13])
+	s.Window = binary.BigEndian.Uint16(b[14:])
+	s.Payload = b[hdrLen:]
+	var err error
+	s.Options, err = parseOptions(s.Options[:0], b[BaseHeaderLen:hdrLen])
+	return err
 }
 
 // Checksum computes the Internet checksum of data prefixed by the
 // pseudo-header (src, dst, proto, length). Computing it over a buffer
 // whose checksum field is already populated yields 0 for a valid packet.
+//
+// The one's-complement sum is order-independent and survives widening:
+// the data is summed as big-endian 64-bit words with end-around carry
+// (2^16-1 divides 2^64-1, so folding the wide sum yields the 16-bit
+// sum), four words per step, and folded to 16 bits once at the end.
 func Checksum(src, dst netip.Addr, proto uint8, data []byte) uint16 {
-	var sum uint32
-	add16 := func(v uint16) { sum += uint32(v) }
-	addBytes := func(b []byte) {
-		for i := 0; i+1 < len(b); i += 2 {
-			add16(binary.BigEndian.Uint16(b[i:]))
-		}
-		if len(b)%2 == 1 {
-			add16(uint16(b[len(b)-1]) << 8)
-		}
-	}
 	sa, da := src.As16(), dst.As16()
-	addBytes(sa[:])
-	addBytes(da[:])
-	add16(uint16(proto))
-	add16(uint16(len(data) >> 16))
-	add16(uint16(len(data) & 0xffff))
-	addBytes(data)
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	var sum, c uint64
+	sum, c = bits.Add64(binary.BigEndian.Uint64(sa[0:]), binary.BigEndian.Uint64(sa[8:]), 0)
+	sum, c = bits.Add64(sum, binary.BigEndian.Uint64(da[0:]), c)
+	sum, c = bits.Add64(sum, binary.BigEndian.Uint64(da[8:]), c)
+	// proto and the 32-bit length, as the three 16-bit words they occupy.
+	sum, c = bits.Add64(sum, uint64(proto)+uint64(uint16(len(data)>>16))+uint64(uint16(len(data))), c)
+
+	b := data
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
 	}
+	for len(b) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		// Tail of 1..7 bytes, zero-padded on the right: the same value
+		// the 16-bit definition gives an odd trailing byte.
+		var tail [8]byte
+		copy(tail[:], b)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(tail[:]), c)
+	}
+	// Fold 64 -> 32 -> 16 with end-around carry. A non-zero sum never
+	// folds to zero, so the result matches 16-bit accumulation bit for
+	// bit (0xffff, not 0x0000, for a sum that is a multiple of 0xffff).
+	sum, c = bits.Add64(sum, 0, c)
+	sum += c
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 

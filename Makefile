@@ -10,7 +10,10 @@ BENCH_PAT ?= BenchmarkStreamThroughput
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_LABEL ?= $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race vet test-matrix alloc-gate chaos-smoke adversary telemetry interop overload flock fuzz-smoke check bench bench-all bench-check
+# `make profile WORKLOAD=<Go benchmark>` knob: how long the benchmark runs.
+PROFILE_TIME ?= 5s
+
+.PHONY: all build test race vet test-matrix alloc-gate chaos-smoke adversary telemetry interop overload flock fuzz-smoke check bench bench-all bench-check profile
 
 all: check
 
@@ -45,11 +48,14 @@ test-matrix:
 # Steady-state allocation gates for the data path, run WITHOUT the race
 # detector so testing.AllocsPerRun counts are exact: the record-layer
 # send/recv paths (single and batched), the buffer-pool accounting
-# invariants, and the timing wheel's zero-alloc rearm.
+# invariants, the timing wheel's zero-alloc rearm, and the segment path
+# through wire, tcpnet and netsim (at most 0.25 allocations per segment in
+# a steady-state bulk transfer).
 alloc-gate:
 	$(GO) test ./internal/tls13/ -run 'TestRecordWriteSteadyStateAllocs|TestRecordReadSteadyStateAllocs|TestBatchWriteSteadyStateAllocs' -count=1 -v
 	$(GO) test ./internal/bufpool/ -count=1
 	$(GO) test ./internal/timingwheel/ -run 'TestWheelRearmZeroAlloc' -count=1 -v
+	$(GO) test ./internal/tcpnet/ -run 'TestTCPNetBulkAllocsPerSegment' -count=1 -v
 
 # Deterministic chaos acceptance run: flap + stall + RST + 2% loss over
 # a 1 MB multi-stream transfer, with proactive (probe-timeout) failover,
@@ -108,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzDecodeStreamChunk$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzDecodeTCPOption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzUnmarshalSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim/ -run '^$$' -fuzz '^FuzzOptionStripperRewrite$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim/ -run '^$$' -fuzz '^FuzzSpliceProxyRewrite$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tls13/ -run '^$$' -fuzz '^FuzzBatchOpenFraming$$' -fuzztime $(FUZZTIME)
@@ -136,3 +143,22 @@ bench-check:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-check: no BENCH_*.json baseline found"; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_RUNS) . \
 		| $(GO) run ./cmd/benchcheck -check $(BENCH_BASELINE)
+
+# Profile one Go benchmark, wherever in the tree it is defined: run it for
+# PROFILE_TIME with CPU and memory profiles and write the benchmark line
+# plus `pprof -top` (top 40 by flat and by cumulative CPU, top 40 by
+# allocated bytes) to profiles/<name>-<date>.txt. The test binary and the
+# raw profiles stay beside it for `go tool pprof -list`.
+#	make profile WORKLOAD=BenchmarkTCPNetBulk
+profile:
+	@test -n "$(WORKLOAD)" || { echo "usage: make profile WORKLOAD=<Go benchmark name>"; exit 2; }
+	@pkg=$$(grep -rl --include='*_test.go' '^func $(WORKLOAD)(' . | head -1 | xargs -r dirname); \
+	test -n "$$pkg" || { echo "profile: no benchmark named $(WORKLOAD)"; exit 2; }; \
+	mkdir -p profiles; out=$$PWD/profiles/$(WORKLOAD)-$$(date +%Y-%m-%d); \
+	$(GO) test $$pkg -run '^$$' -bench '^$(WORKLOAD)$$' -benchtime $(PROFILE_TIME) -benchmem \
+		-o $$out.test -cpuprofile $$out.cpu.pprof -memprofile $$out.mem.pprof > $$out.txt || { cat $$out.txt; exit 1; }; \
+	{ echo; echo "== CPU, top 40 flat"; $(GO) tool pprof -top -nodecount=40 $$out.test $$out.cpu.pprof; \
+	  echo; echo "== CPU, top 40 cumulative"; $(GO) tool pprof -top -cum -nodecount=40 $$out.test $$out.cpu.pprof; \
+	  echo; echo "== allocated bytes, top 40"; $(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 $$out.test $$out.mem.pprof; \
+	} >> $$out.txt 2>/dev/null; \
+	echo "wrote $$out.txt"

@@ -37,6 +37,12 @@ type Listener struct {
 	cfg   *Config
 	rt    *serverRuntime
 
+	// tls is the parent of every connection's TLS config: cloning it at
+	// creation draws the ticket key (if the configured one is zero) and
+	// creates the 0-RTT anti-replay set, once, for the listener's
+	// lifetime; the per-connection clones share both.
+	tls *tls13.Config
+
 	jitter        *jitterRNG    // accept-backoff randomness
 	acceptRetries atomic.Uint64 // temporary Accept errors retried
 	queueDrops    atomic.Uint64 // conns dropped pre-TLS at a full handshake queue
@@ -91,6 +97,7 @@ func NewListener(inner net.Listener, cfg *Config) *Listener {
 		inner:   inner,
 		cfg:     cfg,
 		rt:      newServerRuntime(cfg),
+		tls:     cfg.TLS.Clone(),
 		jitter:  newJitterRNG(cfg.RetrySeed),
 		table:   newShardMap(cfg.Shards),
 		workers: workers,
@@ -451,15 +458,7 @@ func (l *Listener) acceptPlain(conn net.Conn, tc *tls13.Conn) {
 // extension logic: ClientHello inspection (JOIN validation) and the
 // EncryptedExtensions payload (CONNID, cookies, addresses).
 func (l *Listener) serverTLSConfig(conn net.Conn, res *handshakeResult) *tls13.Config {
-	src := l.cfg.TLS
-	cfg := &tls13.Config{
-		Certificate:  src.Certificate,
-		ALPN:         src.ALPN,
-		CipherSuites: src.CipherSuites,
-		MaxEarlyData: src.MaxEarlyData,
-		TicketKey:    src.TicketKey,
-		NumTickets:   src.NumTickets,
-	}
+	cfg := l.tls.Clone()
 	cfg.OnClientHello = func(info tls13.ClientHelloInfo) error {
 		if info.TCPLS == nil {
 			return nil // plain TLS; tolerated but not a session

@@ -200,7 +200,6 @@ type LinkEnd struct {
 // crossing the link costs no allocation.
 type linkDir struct {
 	link  *Link
-	dir   Direction
 	dst   *Host
 	delay time.Duration // wall-clock propagation delay
 
@@ -296,8 +295,8 @@ func (n *Network) AddLink(a, b *Host, addrA, addrB netip.Addr, cfg LinkConfig) *
 	l.state.Store(&linkState{})
 	l.lossBits.Store(math.Float64bits(cfg.Loss))
 	delay := n.ScaleDuration(cfg.Delay)
-	l.ab = &linkDir{link: l, dir: AtoB, dst: b, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
-	l.ba = &linkDir{link: l, dir: BtoA, dst: a, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
+	l.ab = &linkDir{link: l, dst: b, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
+	l.ba = &linkDir{link: l, dst: a, delay: delay, inflight: ring.New[timedPacket](inflightCap)}
 	go l.ab.drain(n.done)
 	go l.ba.drain(n.done)
 	a.AddAddr(addrA)
@@ -380,9 +379,6 @@ func (l *Link) EndA() *LinkEnd { return &LinkEnd{l, AtoB} }
 
 // EndB returns the b-side attachment (transmits toward a).
 func (l *Link) EndB() *LinkEnd { return &LinkEnd{l, BtoA} }
-
-// transmit sends one packet down the link; see transmitBatch.
-func (e *LinkEnd) transmit(p *wire.Packet) { e.transmitBatch([]*wire.Packet{p}) }
 
 // transmitBatch sends a burst of packets down the link: dropped if the
 // direction is down or stalled, through the middlebox chain if there is

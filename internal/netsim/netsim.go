@@ -350,18 +350,7 @@ func (h *Host) loopback(p *wire.Packet) {
 // live on the caller's stack or in reused scratch; ownership of the
 // Payload buffer moves into the network on success and stays with the
 // caller on error.
-func (h *Host) Send(p *wire.Packet) error {
-	if h.HasAddr(p.Dst) {
-		h.loopback(p)
-		return nil
-	}
-	end := h.lookupRoute(p.Dst)
-	if end == nil {
-		return fmt.Errorf("netsim: %s: no route to %s", h.name, p.Dst)
-	}
-	end.transmit(p)
-	return nil
-}
+func (h *Host) Send(p *wire.Packet) error { return h.SendBatch([]*wire.Packet{p}) }
 
 // SendBatch routes a burst of packets sharing one destination — the
 // common shape of an ACK-clocked TCP flight — with a single route lookup

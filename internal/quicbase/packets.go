@@ -213,12 +213,14 @@ func (c *Conn) handleAck(cum uint64) {
 		c.dupCum = 0
 	}
 	empty := len(c.inflight) == 0
+	if acked > 0 {
+		// Under c.mu like every other use of the controller and of
+		// bytesOut: Stream.Write reads both while this runs.
+		c.ctrl.OnAck(acked, 0, c.bytesOut)
+	}
 	c.mu.Unlock()
 	if fastRtx != nil {
 		c.endpoint.send(c.remoteAddr(), fastRtx.raw)
-	}
-	if acked > 0 {
-		c.ctrl.OnAck(acked, 0, c.bytesOut)
 	}
 	if empty {
 		c.mu.Lock()

@@ -762,7 +762,9 @@ func (c *Conn) processData(seg *wire.Segment, owner []byte) {
 func (c *Conn) flushAck() {
 	if c.ackDeferred {
 		c.ackDeferred = false
-		c.sendAck()
+		if c.st != stateClosed { // a RST later in the run: nothing left to acknowledge for
+			c.sendAck()
+		}
 		c.readCond.Broadcast()
 	}
 }
@@ -993,21 +995,11 @@ func (c *Conn) transmit(seg *wire.Segment) {
 
 // queueSegment marshals seg into a pooled buffer and appends the packet
 // to the pending burst; seg and its payload are free for reuse on return.
-// Ownership of the buffer follows the packet: the receiving stack (or a
-// netsim drop site) returns it to the pool. Caller holds c.mu.
+// Caller holds c.mu.
 func (c *Conn) queueSegment(seg *wire.Segment) {
-	hdrLen, err := seg.HeaderLen()
-	if err != nil {
-		return
+	if pkt, ok := marshalPacket(c.local.Addr(), c.remote.Addr(), seg); ok {
+		c.txPkts = append(c.txPkts, pkt)
 	}
-	buf := bufpool.Get(hdrLen + len(seg.Payload))
-	if _, err := seg.MarshalInto(buf, c.local.Addr(), c.remote.Addr()); err != nil {
-		bufpool.Put(buf)
-		return
-	}
-	c.txPkts = append(c.txPkts, wire.Packet{
-		Src: c.local.Addr(), Dst: c.remote.Addr(), Proto: wire.ProtoTCP, TTL: 64, Payload: buf,
-	})
 }
 
 // flushSegments hands the pending burst to the host in one call — one

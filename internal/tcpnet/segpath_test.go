@@ -381,3 +381,78 @@ func BenchmarkTCPNetBulk(b *testing.B) {
 	b.ResetTimer()
 	p.transfer(b, b.N)
 }
+
+// TestBurstDeliveryAckRule hands the stack hand-built batches, as the
+// link does when several segments are due together, and checks what comes
+// back: a run of plain in-order segments is acknowledged once, cumulatively;
+// anything else in the run is acknowledged at once; a run whose last
+// segment is dropped still gets its ACK; a segment alone behaves as ever.
+func TestBurstDeliveryAckRule(t *testing.T) {
+	h := newScriptHarness(t, Config{})
+	h.run(handshakeSteps())
+	const n = 500
+	next := uint32(scriptPeerISS + 1) // the peer's next sequence number
+	data := func(seq uint32, flags wire.Flags) *wire.Packet {
+		buf, err := h.seg(wire.FlagACK|flags, seq, h.iss+1, n).Marshal(clientAddr, serverAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &wire.Packet{Src: clientAddr, Dst: serverAddr, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}
+	}
+	// expectAcks collects the ACK numbers of exactly want pure ACKs and
+	// requires silence after them.
+	expectAcks := func(name string, want ...uint32) {
+		t.Helper()
+		for i, w := range want {
+			select {
+			case c := <-h.out:
+				if len(c.seg.Payload) != 0 || c.seg.Ack != w {
+					t.Fatalf("%s: ACK %d of %d is %s, want a pure ACK of %d", name, i+1, len(want), c.seg, w)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s: ACK %d of %d never came", name, i+1, len(want))
+			}
+		}
+		select {
+		case c := <-h.out:
+			t.Fatalf("%s: unexpected extra segment %s", name, c.seg)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	h.stack.input([]*wire.Packet{data(next, 0)})
+	next += n
+	expectAcks("a segment alone", next)
+
+	h.stack.input([]*wire.Packet{data(next, 0), data(next+n, 0), data(next+2*n, 0), data(next+3*n, 0)})
+	next += 4 * n
+	expectAcks("four in order", next)
+
+	// In order, then a gap: the out-of-order segment acknowledges at once
+	// (covering its predecessor), and so does the one that follows it.
+	h.stack.input([]*wire.Packet{data(next, 0), data(next+2*n, 0), data(next+3*n, 0)})
+	expectAcks("a gap mid-run", next+n, next+n)
+	h.stack.input([]*wire.Packet{data(next+n, 0)})
+	next += 4 * n
+	expectAcks("the gap filled", next)
+
+	// The run's last segment fails its checksum: the deferred ACK still goes.
+	bad := data(next+2*n, 0)
+	bad.Payload[len(bad.Payload)-1] ^= 0xff
+	h.stack.input([]*wire.Packet{data(next, 0), data(next+n, 0), bad})
+	next += 2 * n
+	expectAcks("a corrupt tail", next)
+
+	// All of it reached the reader, who was woken.
+	got := make([]byte, 11*n)
+	h.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(h.conn, got); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+
+	// A FIN never waits: data and FIN in one run, acknowledged together
+	// by the FIN's own ACK.
+	h.stack.input([]*wire.Packet{data(next, 0), data(next+n, wire.FlagFIN)})
+	next += 2*n + 1
+	expectAcks("data then FIN", next)
+}

@@ -372,10 +372,13 @@ func sameFlow(a, b *wire.Packet) bool {
 
 // inputRun processes consecutive packets of one flow.
 func (s *Stack) inputRun(pkts []*wire.Packet) {
-	// The segment and its options are decoded in place, on this stack
-	// frame, once per packet: nothing below retains them.
-	var opts [wire.MaxOptions]wire.Option
-	seg := wire.Segment{Options: opts[:0]}
+	// Every packet of the run is decoded in place into this one segment,
+	// on this stack frame: nothing below retains it. (Its option array,
+	// unlike the segment, is heap-allocated — by the first packet that
+	// carries options, then reused — because the payload it sits beside
+	// does move into the receive queue, and escape analysis does not
+	// tell a struct's fields apart.)
+	var seg wire.Segment
 	var c *Conn // the run's connection, locked, from the first segment it accepts
 	release := func() {
 		c.rxMore = false
@@ -453,23 +456,28 @@ func (s *Stack) sendRST(local, remote netip.AddrPort, in *wire.Segment) {
 	s.sendSegment(local.Addr(), remote.Addr(), rst)
 }
 
-// sendSegment marshals a segment no connection owns (a RST for a closed
-// port) into a pooled buffer and hands it to the host. Ownership of the
-// buffer follows the packet: the receiving stack (or a netsim drop site)
-// returns it to the pool.
-func (s *Stack) sendSegment(src, dst netip.Addr, seg *wire.Segment) {
+// marshalPacket serializes seg into a pooled buffer and wraps it in a
+// packet, or reports false for a segment that cannot be marshalled.
+// Ownership of the buffer follows the packet: once sent, the receiving
+// stack (or a netsim drop site) returns it to the pool.
+func marshalPacket(src, dst netip.Addr, seg *wire.Segment) (wire.Packet, bool) {
 	hdrLen, err := seg.HeaderLen()
 	if err != nil {
-		return
+		return wire.Packet{}, false
 	}
 	buf := bufpool.Get(hdrLen + len(seg.Payload))
 	if _, err := seg.MarshalInto(buf, src, dst); err != nil {
 		bufpool.Put(buf)
-		return
+		return wire.Packet{}, false
 	}
-	pkt := wire.Packet{Src: src, Dst: dst, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}
-	if s.host.Send(&pkt) != nil {
-		bufpool.Put(buf) // no route: the packet never entered the network
+	return wire.Packet{Src: src, Dst: dst, Proto: wire.ProtoTCP, TTL: 64, Payload: buf}, true
+}
+
+// sendSegment sends a segment no connection owns (a RST for a closed
+// port).
+func (s *Stack) sendSegment(src, dst netip.Addr, seg *wire.Segment) {
+	if pkt, ok := marshalPacket(src, dst, seg); ok && s.host.Send(&pkt) != nil {
+		bufpool.Put(pkt.Payload) // no route: the packet never entered the network
 	}
 }
 

@@ -57,9 +57,37 @@ type Config struct {
 	// OnNewSession is invoked on clients for each ticket received.
 	OnNewSession func(*ClientSession)
 
-	ticketOnce  sync.Once
-	ticketState *ticketKeys
-	replay      replayFilter // sharded 0-RTT anti-replay set
+	// tickets is the server's ticket-sealing key and 0-RTT anti-replay
+	// set: created on first use, and shared with every Clone.
+	ticketsOnce sync.Once
+	tickets     *ticketStore
+}
+
+// Clone returns a copy of cfg that shares cfg's ticket key and 0-RTT
+// anti-replay set. A server that gives each connection its own Config
+// (to attach per-connection callbacks) derives them all from one parent,
+// so a ticket issued on one connection resumes on the next and a replayed
+// ticket is caught whichever connection it arrives on. Cloning draws the
+// parent's ticket key if TicketKey is zero and none was drawn yet.
+func (cfg *Config) Clone() *Config {
+	return &Config{
+		ServerName:          cfg.ServerName,
+		Certificate:         cfg.Certificate,
+		RootCAs:             cfg.RootCAs,
+		InsecureSkipVerify:  cfg.InsecureSkipVerify,
+		ALPN:                cfg.ALPN,
+		CipherSuites:        cfg.CipherSuites,
+		ExtraClientHello:    cfg.ExtraClientHello,
+		EncryptedExtensions: cfg.EncryptedExtensions,
+		OnClientHello:       cfg.OnClientHello,
+		Session:             cfg.Session,
+		EarlyData:           cfg.EarlyData,
+		MaxEarlyData:        cfg.MaxEarlyData,
+		NumTickets:          cfg.NumTickets,
+		TicketKey:           cfg.TicketKey,
+		OnNewSession:        cfg.OnNewSession,
+		tickets:             cfg.ticketStore(),
+	}
 }
 
 // ClientHelloInfo is the server's view of a ClientHello.

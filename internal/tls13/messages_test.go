@@ -189,8 +189,9 @@ func TestReplayFilterConcurrent(t *testing.T) {
 	// probability ~(15/16)^64 ≈ 1.6%; all-on-one-shard is impossible in
 	// practice and would mean the mixer is broken).
 	shardsHit := 0
-	for i := range cfg.replay.shards {
-		if len(cfg.replay.shards[i].used) > 0 {
+	shards := cfg.ticketStore().replay.shards[:]
+	for i := range shards {
+		if len(shards[i].used) > 0 {
 			shardsHit++
 		}
 	}

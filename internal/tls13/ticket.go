@@ -17,16 +17,25 @@ type ticketPayload struct {
 	issuedAt     int64 // unix seconds
 }
 
-// ticketKeys holds the server's sealing AEAD.
-type ticketKeys struct {
-	aead cipher.AEAD
+// ticketStore is the server state that must outlive a connection for
+// resumption to work: the AEAD tickets are sealed under and the set of
+// tickets already used for 0-RTT.
+type ticketStore struct {
+	aead   cipher.AEAD
+	replay replayFilter // sharded 0-RTT anti-replay set
 }
 
 // defaultTicketLifetime is 7 days, the RFC 8446 maximum.
 const defaultTicketLifetime = 7 * 24 * time.Hour
 
-func (cfg *Config) ticketKeys() *ticketKeys {
-	cfg.ticketOnce.Do(func() {
+// ticketStore returns the Config's store, creating it — and drawing a
+// random key if TicketKey is zero — on first use. A Clone arrives with
+// its parent's store already in place.
+func (cfg *Config) ticketStore() *ticketStore {
+	cfg.ticketsOnce.Do(func() {
+		if cfg.tickets != nil {
+			return
+		}
 		key := cfg.TicketKey
 		var zero [32]byte
 		if key == zero {
@@ -42,14 +51,14 @@ func (cfg *Config) ticketKeys() *ticketKeys {
 		if err != nil {
 			panic(err)
 		}
-		cfg.ticketState = &ticketKeys{aead: aead}
+		cfg.tickets = &ticketStore{aead: aead}
 	})
-	return cfg.ticketState
+	return cfg.tickets
 }
 
 // sealTicket encrypts the payload into an opaque ticket identity.
 func (cfg *Config) sealTicket(tp *ticketPayload) []byte {
-	tk := cfg.ticketKeys()
+	tk := cfg.ticketStore()
 	var plain []byte
 	plain = binary.BigEndian.AppendUint16(plain, tp.suiteID)
 	plain = binary.BigEndian.AppendUint32(plain, tp.maxEarlyData)
@@ -64,7 +73,7 @@ func (cfg *Config) sealTicket(tp *ticketPayload) []byte {
 // decryptTicket opens a ticket identity; reports false for garbage,
 // foreign, or expired tickets.
 func (cfg *Config) decryptTicket(identity []byte) (*ticketPayload, bool) {
-	tk := cfg.ticketKeys()
+	tk := cfg.ticketStore()
 	if len(identity) < 12 {
 		return nil, false
 	}
@@ -134,9 +143,10 @@ func (f *replayFilter) markUsed(identity []byte) bool {
 }
 
 // markTicketUsed implements single-use anti-replay for 0-RTT: the first
-// caller wins, replays are rejected. The window is the Config's lifetime.
+// caller wins, replays are rejected. The window is the lifetime of the
+// Config and its Clones.
 func (cfg *Config) markTicketUsed(identity []byte) bool {
-	return cfg.replay.markUsed(identity)
+	return cfg.ticketStore().replay.markUsed(identity)
 }
 
 // sendSessionTicket issues one NewSessionTicket post-handshake.

@@ -72,10 +72,6 @@ func (o *Option) String() string {
 	return fmt.Sprintf("opt%d(%d bytes)", o.Kind, len(o.Data))
 }
 
-// MaxOptions is the most options one header can carry: 40 bytes of
-// option space at two bytes per option minimum.
-const MaxOptions = MaxOptionSpace / 2
-
 // parseOptions decodes the option block, appending to opts. Each Option's
 // Data aliases b — callers that retain options past the packet's lifetime
 // (the buffer may be recycled) must deep-copy Data.

@@ -212,10 +212,10 @@ func UnmarshalSegment(b []byte, src, dst netip.Addr, verify bool) (*Segment, err
 }
 
 // Unmarshal parses b into the caller's segment, overwriting every field.
-// The parsed options are appended to s.Options[:0], so a caller that
-// seeds Options with a fixed array (MaxOptions entries hold any legal
-// header) decodes without allocating. Payload and Options[i].Data alias
-// b. On error s is left partially filled and must not be used.
+// The parsed options are appended to s.Options[:0], so a segment reused
+// from packet to packet reuses its option array and a segment without
+// options never allocates one. Payload and Options[i].Data alias b. On
+// error s is left partially filled and must not be used.
 func (s *Segment) Unmarshal(b []byte, src, dst netip.Addr, verify bool) error {
 	if len(b) < BaseHeaderLen {
 		return ErrTruncated

@@ -46,13 +46,16 @@ test-matrix:
 	$(GO) test ./internal/ring/ ./internal/timingwheel/ -race -count=1
 
 # Steady-state allocation gates for the data path, run WITHOUT the race
-# detector so testing.AllocsPerRun counts are exact: the record-layer
-# send/recv paths (single and batched), the buffer-pool accounting
-# invariants, the timing wheel's zero-alloc rearm, and the segment path
-# through wire, tcpnet and netsim (at most 0.25 allocations per segment in
-# a steady-state bulk transfer).
+# detector so testing.AllocsPerRun counts are exact: the record layer's
+# send and receive path (one record and a batch), the session byte path
+# end to end (at most 1.0 allocations per 64 KiB Stream.Write through to
+# the peer's Read, 0.5 per 1 KiB echo round trip, both sides counted), the
+# buffer-pool accounting invariants, the timing wheel's zero-alloc rearm,
+# and the segment path through wire, tcpnet and netsim (at most 0.25
+# allocations per segment in a steady-state bulk transfer).
 alloc-gate:
 	$(GO) test ./internal/tls13/ -run 'TestRecordWriteSteadyStateAllocs|TestRecordReadSteadyStateAllocs|TestBatchWriteSteadyStateAllocs' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestStreamWriteSteadyStateAllocs' -count=1 -v
 	$(GO) test ./internal/bufpool/ -count=1
 	$(GO) test ./internal/timingwheel/ -run 'TestWheelRearmZeroAlloc' -count=1 -v
 	$(GO) test ./internal/tcpnet/ -run 'TestTCPNetBulkAllocsPerSegment' -count=1 -v

@@ -252,9 +252,7 @@ func TestShedNewestIdleFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
-	st.unackedLen = 100
-	st.mu.Unlock()
+	holdUnacked(st, 100)
 	_ = fresh // recent data activity: protected
 
 	a.shedPass() // low water = int(0.76*4) = 3: shed exactly one
@@ -295,9 +293,7 @@ func TestShedPriorityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
-	st.unackedLen = 1
-	st.mu.Unlock()
+	holdUnacked(st, 1)
 
 	a.shedPass() // low water 0: sheds everything eligible
 

@@ -412,11 +412,8 @@ func (s *Session) ClosePath(pathID uint32) error {
 		return ErrNoConnection
 	}
 	pc.writeControl(record.ConnClose{ConnID: pathID})
+	streams := s.Streams()
 	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
 	isPrimary := s.primary == pc
 	s.mu.Unlock()
 	pc.close(nil)

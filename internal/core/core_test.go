@@ -521,7 +521,7 @@ func TestMigrationV4ToV6(t *testing.T) {
 		for _, sst := range srv.Streams() {
 			sst.mu.Lock()
 			t.Logf("server stream %d: sendOffset=%d ackedTo=%d unacked=%d finSent=%v",
-				sst.id, sst.sendOffset, sst.ackedTo, len(sst.unacked), sst.finSent)
+				sst.id, sst.sendOffset, sst.ackedTo, sst.replay.Len(), sst.finSent)
 			sst.mu.Unlock()
 		}
 		prefix := 0

@@ -198,50 +198,35 @@ func (s *Session) fallbackPlainHandshake(cause string) error {
 	return s.adoptPlain(tcp, tc, cause)
 }
 
-// writePlainChunk maps a stream chunk onto the bare TLS connection: data
-// becomes application bytes, the FIN becomes a TLS half-close. There is
-// no TCPLS ack machinery on a plain path, so the chunk is self-acked —
-// the replay buffer exists for failover, and a plain session has no
-// failover.
-func (pc *pathConn) writePlainChunk(c *record.StreamChunk) error {
+// writePlain is writeStream on the bare TLS connection: data becomes
+// application bytes, the FIN a TLS half-close. A plain path has no ack
+// machinery and no failover to replay for, so what the transport took is
+// self-acked.
+func (pc *pathConn) writePlain(st *Stream, off uint64, a, b []byte, fin bool) error {
 	s := pc.session
-	if c.Fin {
-		pc.writeMu.Lock()
-		err := pc.tls.CloseWrite()
-		pc.writeMu.Unlock()
-		if err != nil {
+	pc.writeMu.Lock()
+	defer pc.writeMu.Unlock()
+	for _, data := range [2][]byte{a, b} {
+		if len(data) == 0 {
+			continue
+		}
+		if _, err := pc.tls.Write(data); err != nil {
 			return err
 		}
-		s.plainSelfAck(c.StreamID, c.Offset+1)
-		return nil
+		s.ctr.recordsSent.Add(1)
+		s.ctr.bytesSent.Add(uint64(len(data)))
+		s.touch()
+		s.emitRecord(telemetry.EvRecordSent, pc, &record.StreamChunk{StreamID: st.id, Offset: off, Data: data})
+		off += uint64(len(data))
+		st.handleAck(off)
 	}
-	pc.writeMu.Lock()
-	_, err := pc.tls.Write(c.Data)
-	pc.writeMu.Unlock()
-	if err != nil {
-		return err
+	if fin {
+		if err := pc.tls.CloseWrite(); err != nil {
+			return err
+		}
+		st.handleAck(off + 1)
 	}
-	s.ctr.recordsSent.Add(1)
-	s.ctr.bytesSent.Add(uint64(len(c.Data)))
-	s.touch()
-	s.emit(telemetry.Event{
-		Kind:   telemetry.EvRecordSent,
-		Path:   pc.id,
-		Stream: c.StreamID,
-		A:      int64(len(c.Data)),
-		B:      int64(c.Offset),
-	})
-	s.plainSelfAck(c.StreamID, c.Offset+uint64(len(c.Data)))
 	return nil
-}
-
-func (s *Session) plainSelfAck(streamID uint32, offset uint64) {
-	s.mu.Lock()
-	st := s.streams[streamID]
-	s.mu.Unlock()
-	if st != nil {
-		st.handleAck(offset)
-	}
 }
 
 // plainReadLoop pumps raw TLS application bytes into the session's
@@ -257,6 +242,8 @@ func (pc *pathConn) plainReadLoop() {
 			chunk := &record.StreamChunk{StreamID: plainStreamID, Offset: offset, Data: buf[:n]}
 			offset += uint64(n)
 			pc.session.dispatchChunk(pc, chunk, buf)
+			pc.session.touch()
+			pc.session.noteBlackoutEnd()
 		} else {
 			bufpool.Put(buf)
 		}

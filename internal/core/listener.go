@@ -611,13 +611,7 @@ func (l *Listener) releaseConnID(id uint32) {
 // replayAll resends every stream's unacked data on pc — the failover
 // rescue path when a client reattaches after total connection loss.
 func (s *Session) replayAll(pc *pathConn) {
-	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.mu.Unlock()
-	for _, st := range streams {
+	for _, st := range s.Streams() {
 		st.replayUnacked(pc)
 	}
 }

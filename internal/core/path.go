@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
 	"github.com/pluginized-protocols/gotcpls/internal/cc"
@@ -29,17 +30,23 @@ type pathConn struct {
 	joined  bool // attached via JOIN (vs. the initial handshake)
 	plain   bool // degraded plain-TLS path: raw bytes, no TCPLS framing
 
+	// writeMu serializes record writes (lockWrite/unlockWrite) and guards
+	// the burst scratch: per-record header and TType trailer, sealer views.
 	writeMu sync.Mutex
-	// wScratch holds the stream-data record header and TType trailer
-	// handed to the vectored record write; guarded by writeMu.
-	wScratch [record.StreamHeaderLen + 1]byte
-	// wBatchHdrs/wBatchRecs are the batched equivalents: per-record
-	// header scratch and the OutRecord views handed to the batched
-	// sealer; guarded by writeMu.
-	wBatchHdrs [maxWriteBurst][record.StreamHeaderLen + 1]byte
-	wBatchRecs [maxWriteBurst]tls13.OutRecord
-	ctxMu      sync.Mutex
-	ctxs       map[uint32]bool // stream contexts added on this conn
+	wHdrs   [maxWriteBurst][record.StreamHeaderLen + 1]byte
+	wRecs   [maxWriteBurst]tls13.OutRecord
+
+	// Control frames the read loop originates (DESIGN.md §14): left here,
+	// acks coalesced per stream, for whoever holds or next takes writeMu.
+	// writers counts the Stream.Write calls in progress on this path.
+	pendMu    sync.Mutex
+	pendAcks  []record.Ack
+	pendPongs []record.Pong
+	pending   atomic.Bool
+	writers   atomic.Int32
+
+	ctxMu sync.Mutex
+	ctxs  map[uint32]bool // stream contexts added on this conn
 
 	health   pathHealth
 	failOnce sync.Once // handleConnFailure runs at most once per path
@@ -143,6 +150,108 @@ func (pc *pathConn) ensureStreamContext(id uint32) error {
 	return pc.tls.AddStreamContext(id)
 }
 
+// lockWrite takes the write lock and sends the read loop's pending
+// control frames ahead of whatever the caller is about to write.
+func (pc *pathConn) lockWrite() {
+	pc.writeMu.Lock()
+	pc.flushPending()
+}
+
+// unlockWrite releases the write lock, then sends what was queued while
+// it was held: whoever queued it found the lock taken and left it.
+func (pc *pathConn) unlockWrite() {
+	pc.writeMu.Unlock()
+	pc.kick()
+}
+
+// kick sends pending control frames unless somebody holds the write lock,
+// whose unlockWrite then will.
+func (pc *pathConn) kick() {
+	for pc.pending.Load() && pc.writeMu.TryLock() {
+		pc.flushPending()
+		pc.writeMu.Unlock()
+	}
+}
+
+// queueAck leaves a (cumulative) ack pending, superseding an older one for
+// the same stream.
+func (pc *pathConn) queueAck(a record.Ack) {
+	pc.pendMu.Lock()
+	i := 0
+	for i < len(pc.pendAcks) && pc.pendAcks[i].StreamID != a.StreamID {
+		i++
+	}
+	if i == len(pc.pendAcks) {
+		pc.pendAcks = append(pc.pendAcks, a)
+	} else if a.Offset > pc.pendAcks[i].Offset {
+		pc.pendAcks[i] = a
+	}
+	pc.pending.Store(!pc.plain)
+	pc.pendMu.Unlock()
+	pc.notePending()
+}
+
+// maxPendingPongs bounds the pongs owed while the write lock is held: a
+// prober that floods goes unanswered past it.
+const maxPendingPongs = 64
+
+func (pc *pathConn) queuePong(p record.Pong) {
+	pc.pendMu.Lock()
+	if len(pc.pendPongs) < maxPendingPongs {
+		pc.pendPongs = append(pc.pendPongs, p)
+	}
+	pc.pending.Store(!pc.plain)
+	pc.pendMu.Unlock()
+	pc.notePending()
+}
+
+// notePending gets the frames just queued sent: a Stream.Write in progress
+// on the path sends them with its next burst, and the read loop writes
+// them itself only when there is none.
+func (pc *pathConn) notePending() {
+	if pc.writers.Load() == 0 {
+		pc.kick()
+	}
+}
+
+// flushPending writes the queued frames as control records. Caller holds
+// writeMu. A write error is left for the next data write or the read loop
+// to report: the path is dying either way.
+func (pc *pathConn) flushPending() {
+	const maxFlushFrames = record.MaxControlFrames / 2 // per control record
+	for pc.pending.Load() {
+		buf := bufpool.Get(512)[:0]
+		pc.pendMu.Lock()
+		acks := min(len(pc.pendAcks), maxFlushFrames)
+		pongs := min(len(pc.pendPongs), maxFlushFrames-acks)
+		for _, a := range pc.pendAcks[:acks] {
+			buf = record.AppendFrame(buf, a)
+		}
+		for _, p := range pc.pendPongs[:pongs] {
+			buf = record.AppendFrame(buf, p)
+		}
+		pc.pendAcks = pc.pendAcks[:copy(pc.pendAcks, pc.pendAcks[acks:])]
+		pc.pendPongs = pc.pendPongs[:copy(pc.pendPongs, pc.pendPongs[pongs:])]
+		pc.pending.Store(len(pc.pendAcks)+len(pc.pendPongs) > 0)
+		pc.pendMu.Unlock()
+		pc.noteControlSent(acks, record.FrameAck)
+		pc.noteControlSent(pongs, record.FramePong)
+		pc.tls.WriteRecordContext(tls13.DefaultContext, append(buf, byte(record.TTypeControl)))
+		bufpool.Put(buf) // a grown (non-class) buffer is silently dropped
+	}
+}
+
+// noteControlSent counts and traces n control frames of one type.
+func (pc *pathConn) noteControlSent(n int, ft record.FrameType) {
+	s := pc.session
+	s.ctr.ctrlSent.Add(uint64(n))
+	if s.tracing() {
+		for ; n > 0; n-- {
+			s.emit(telemetry.Event{Kind: telemetry.EvCtrlSent, Path: pc.id, S: ft.String()})
+		}
+	}
+}
+
 // writeControl sends control frames on the default context. On a
 // degraded plain path there is no secure control channel: frames are
 // silently dropped (the capability was shed, not the session).
@@ -150,21 +259,11 @@ func (pc *pathConn) writeControl(frames ...record.Frame) error {
 	if pc.plain {
 		return nil
 	}
-	s := pc.session
-	s.ctr.ctrlSent.Add(uint64(len(frames)))
-	if s.tracing() {
-		for _, f := range frames {
-			s.emit(telemetry.Event{
-				Kind: telemetry.EvCtrlSent,
-				Path: pc.id,
-				S:    record.Type(f).String(),
-			})
-		}
+	for _, f := range frames {
+		pc.noteControlSent(1, record.Type(f))
 	}
-	pc.writeMu.Lock()
-	defer pc.writeMu.Unlock()
 	buf := record.AppendControl(bufpool.Get(512)[:0], frames...)
-	err := pc.tls.WriteRecordContext(tls13.DefaultContext, buf)
+	err := pc.writeDefault(buf)
 	bufpool.Put(buf) // a grown (non-class) buffer is silently dropped
 	return err
 }
@@ -174,45 +273,90 @@ func (pc *pathConn) writeTCPOption(o *record.TCPOption) error {
 	if pc.plain {
 		return ErrCapabilityDisabled
 	}
-	pc.writeMu.Lock()
-	defer pc.writeMu.Unlock()
-	return pc.tls.WriteRecordContext(tls13.DefaultContext, record.EncodeTCPOption(o))
+	return pc.writeDefault(record.EncodeTCPOption(o))
 }
 
-// writeChunk sends one stream-data record under the stream's context.
-func (pc *pathConn) writeChunk(c *record.StreamChunk) error {
+// writeDefault writes one record on the default context.
+func (pc *pathConn) writeDefault(plaintext []byte) error {
+	pc.lockWrite()
+	defer pc.unlockWrite()
+	return pc.tls.WriteRecordContext(tls13.DefaultContext, plaintext)
+}
+
+// maxWriteBurst bounds one flush of stream-data records: 15 cwnd-shaped
+// records fill the sealer's 64K staging buffer without spilling.
+const maxWriteBurst = 15
+
+// writeStream is the one way stream data leaves: it sends the stream bytes
+// [off, off+len(a)+len(b)) — a then b, two spans of the replay ring — as
+// records of at most chunkLen bytes under the stream's context, then the
+// FIN if fin, maxWriteBurst records per transport write. A chunk never
+// straddles the spans: the ring's wrap costs one shorter record per lap.
+// a and b are read until it returns and not retained.
+func (pc *pathConn) writeStream(st *Stream, off uint64, a, b []byte, chunkLen int, fin bool) error {
 	if pc.plain {
-		return pc.writePlainChunk(c)
+		return pc.writePlain(st, off, a, b, fin)
 	}
-	if err := pc.ensureStreamContext(c.StreamID); err != nil {
+	id, s := st.id, pc.session
+	if err := pc.ensureStreamContext(id); err != nil {
 		return err
 	}
-	s := pc.session
-	s.ctr.recordsSent.Add(1)
-	s.ctr.bytesSent.Add(uint64(len(c.Data)))
 	s.touch()
 	s.noteBlackoutEnd()
+	pc.lockWrite()
+	defer pc.unlockWrite()
+	for {
+		if len(a) == 0 {
+			a, b = b, nil
+		}
+		n, bytes := 0, 0
+		for ; n < maxWriteBurst && (len(a) > 0 || fin); n++ {
+			chunk := record.StreamChunk{StreamID: id, Offset: off, Data: a[:min(len(a), chunkLen)]}
+			if len(a) == 0 {
+				chunk.Fin, fin = true, false // the FIN is an empty chunk of its own
+			}
+			h := pc.wHdrs[n][:]
+			record.PutStreamHeader(h, &chunk)
+			h[record.StreamHeaderLen] = byte(record.TTypeStreamData)
+			pc.wRecs[n] = tls13.OutRecord{
+				Ctx:  id,
+				Head: h[:record.StreamHeaderLen],
+				Body: chunk.Data,
+				Tail: h[record.StreamHeaderLen:],
+			}
+			s.emitRecord(telemetry.EvRecordSent, pc, &chunk)
+			a = a[len(chunk.Data):]
+			off += uint64(len(chunk.Data))
+			bytes += len(chunk.Data)
+			if len(a) == 0 {
+				a, b = b, nil
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		s.ctr.recordsSent.Add(uint64(n))
+		s.ctr.bytesSent.Add(uint64(bytes))
+		if _, err := pc.tls.WriteRecordBatch(pc.wRecs[:n]); err != nil {
+			return err
+		}
+	}
+}
+
+// emitRecord traces one stream-data record sent or received on pc.
+func (s *Session) emitRecord(kind telemetry.EventKind, pc *pathConn, c *record.StreamChunk) {
 	fin := int64(0)
 	if c.Fin {
 		fin = 1
 	}
 	s.emit(telemetry.Event{
-		Kind:   telemetry.EvRecordSent,
+		Kind:   kind,
 		Path:   pc.id,
 		Stream: c.StreamID,
 		A:      int64(len(c.Data)),
 		B:      int64(c.Offset),
 		C:      fin,
 	})
-	pc.writeMu.Lock()
-	defer pc.writeMu.Unlock()
-	// Vectored write: header, payload and TType trailer are gathered
-	// directly into the sealed-record buffer, so the chunk's plaintext
-	// is never assembled separately.
-	record.PutStreamHeader(pc.wScratch[:], c)
-	pc.wScratch[record.StreamHeaderLen] = byte(record.TTypeStreamData)
-	return pc.tls.WriteRecordParts(c.StreamID,
-		pc.wScratch[:record.StreamHeaderLen], c.Data, pc.wScratch[record.StreamHeaderLen:])
 }
 
 // chunkSize picks the stream-chunk size: fixed if configured, otherwise
@@ -244,78 +388,6 @@ func (pc *pathConn) chunkSize() int {
 	return MaxRecordPayload
 }
 
-// maxWriteBurst bounds one batched chunk flush: 15 cwnd-shaped records
-// fill the sealer's 64K staging buffer without spilling.
-const maxWriteBurst = 15
-
-// writeChunkBatch sends a burst of same-stream chunks through one
-// batched record write (one seal pass, one transport write for the
-// whole burst). Falls back to the single-record path for singleton
-// bursts and degraded plain-TLS paths.
-func (pc *pathConn) writeChunkBatch(chunks []*record.StreamChunk) error {
-	if len(chunks) == 0 {
-		return nil
-	}
-	if len(chunks) == 1 {
-		return pc.writeChunk(chunks[0])
-	}
-	if pc.plain {
-		for _, c := range chunks {
-			if err := pc.writePlainChunk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := pc.ensureStreamContext(chunks[0].StreamID); err != nil {
-		return err
-	}
-	s := pc.session
-	var burstBytes uint64
-	for _, c := range chunks {
-		burstBytes += uint64(len(c.Data))
-	}
-	s.ctr.recordsSent.Add(uint64(len(chunks)))
-	s.ctr.bytesSent.Add(burstBytes)
-	s.touch()
-	s.noteBlackoutEnd()
-	for _, c := range chunks {
-		fin := int64(0)
-		if c.Fin {
-			fin = 1
-		}
-		s.emit(telemetry.Event{
-			Kind:   telemetry.EvRecordSent,
-			Path:   pc.id,
-			Stream: c.StreamID,
-			A:      int64(len(c.Data)),
-			B:      int64(c.Offset),
-			C:      fin,
-		})
-	}
-	pc.writeMu.Lock()
-	defer pc.writeMu.Unlock()
-	for len(chunks) > 0 {
-		n := min(len(chunks), maxWriteBurst)
-		for i, c := range chunks[:n] {
-			h := pc.wBatchHdrs[i][:]
-			record.PutStreamHeader(h, c)
-			h[record.StreamHeaderLen] = byte(record.TTypeStreamData)
-			pc.wBatchRecs[i] = tls13.OutRecord{
-				Ctx:  c.StreamID,
-				Head: h[:record.StreamHeaderLen],
-				Body: c.Data,
-				Tail: h[record.StreamHeaderLen:],
-			}
-		}
-		if _, err := pc.tls.WriteRecordBatch(pc.wBatchRecs[:n]); err != nil {
-			return err
-		}
-		chunks = chunks[n:]
-	}
-	return nil
-}
-
 // readBurst is the inbound batch-drain width: how many complete
 // buffered records one lock acquisition may hand the read loop.
 const readBurst = 16
@@ -323,15 +395,19 @@ const readBurst = 16
 // readLoop pumps inbound records until the connection dies, draining
 // whole bursts per record-layer lock acquisition: the batched read
 // returns every record already sitting in the receive buffer, so a
-// sender's batched flush is processed with one lock round trip instead
-// of one per record.
+// sender's burst costs one lock round trip and one activity stamp.
 func (pc *pathConn) readLoop() {
 	recs := make([]tls13.InRecord, readBurst)
 	for {
 		n, err := pc.tls.ReadRecordContextBatch(recs)
+		data := false
 		for i := 0; i < n; i++ {
-			pc.handleRecord(recs[i].Payload)
+			data = pc.handleRecord(recs[i].Payload) || data
 			recs[i] = tls13.InRecord{}
+		}
+		if data {
+			pc.session.touch()
+			pc.session.noteBlackoutEnd()
 		}
 		if err != nil {
 			if errors.Is(err, tls13.ErrNoContext) {
@@ -345,46 +421,69 @@ func (pc *pathConn) readLoop() {
 	}
 }
 
-// handleRecord routes one decrypted record payload.
+// handleRecord routes one decrypted record payload and reports whether it
+// carried stream data.
 //
 // plain is a pooled record buffer owned by the read loop. Stream
 // chunks alias it (chunk.Data points into plain), so ownership travels
 // with the chunk into the stream's receive queue and the buffer is
 // recycled when the application consumes it. Control frames and TCP
-// options decode into copies, so those arms recycle the buffer
-// immediately.
-func (pc *pathConn) handleRecord(plain []byte) {
+// options are decoded in place into values or copies, so those arms
+// recycle the buffer when done.
+func (pc *pathConn) handleRecord(plain []byte) (data bool) {
 	tt, content, err := record.Decode(plain)
 	if err != nil {
 		bufpool.Put(plain)
-		return
+		return false
 	}
 	switch tt {
 	case record.TTypeStreamData:
 		chunk, err := record.DecodeStreamChunk(content)
 		if err != nil {
 			bufpool.Put(plain)
-			return
+			return false
 		}
 		pc.session.dispatchChunk(pc, chunk, plain)
+		return true
 	case record.TTypeControl:
-		frames, err := record.DecodeControl(content)
-		bufpool.Put(plain)
-		if err != nil {
-			return
-		}
-		for _, f := range frames {
-			pc.session.dispatchFrame(pc, f)
-		}
+		pc.handleControl(content)
 	case record.TTypeTCPOption:
-		opt, err := record.DecodeTCPOption(content)
-		bufpool.Put(plain)
+		if opt, err := record.DecodeTCPOption(content); err == nil {
+			pc.session.applyTCPOption(pc, opt)
+		}
+	}
+	bufpool.Put(plain)
+	return false
+}
+
+// handleControl acts on the frames of one control record in order, up to
+// the first malformed one (or the MaxControlFrames-th). Acks, a bulk
+// transfer's whole reverse direction, are parsed by value.
+func (pc *pathConn) handleControl(content []byte) {
+	s := pc.session
+	for n := 0; len(content) > 0 && n < record.MaxControlFrames; n++ {
+		ft, body, rest, err := record.NextFrame(content)
 		if err != nil {
 			return
 		}
-		pc.session.applyTCPOption(pc, opt)
-	default:
-		bufpool.Put(plain)
+		content = rest
+		s.ctr.ctrlRcvd.Add(1)
+		s.emit(telemetry.Event{Kind: telemetry.EvCtrlRecv, Path: pc.id, S: ft.String()})
+		if ft == record.FrameAck {
+			a, err := record.ParseAck(body)
+			if err != nil {
+				return
+			}
+			if st := s.stream(a.StreamID); st != nil {
+				st.handleAck(a.Offset)
+			}
+			continue
+		}
+		f, err := record.DecodeFrame(ft, body)
+		if err != nil {
+			return
+		}
+		s.dispatchFrame(pc, f)
 	}
 }
 
@@ -404,23 +503,11 @@ func (pc *pathConn) handleDeath(err error) {
 // dispatchChunk routes a stream-data chunk. owner is the pooled record
 // buffer chunk.Data aliases (nil when the data is not pooled); ownership
 // transfers to the stream, or is recycled here if no stream takes it.
+// The calling read loop stamps the activity once per batch.
 func (s *Session) dispatchChunk(pc *pathConn, chunk *record.StreamChunk, owner []byte) {
 	s.ctr.recordsRcvd.Add(1)
 	s.ctr.bytesRcvd.Add(uint64(len(chunk.Data)))
-	s.touch()
-	s.noteBlackoutEnd()
-	fin := int64(0)
-	if chunk.Fin {
-		fin = 1
-	}
-	s.emit(telemetry.Event{
-		Kind:   telemetry.EvRecordRecv,
-		Path:   pc.id,
-		Stream: chunk.StreamID,
-		A:      int64(len(chunk.Data)),
-		B:      int64(chunk.Offset),
-		C:      fin,
-	})
+	s.emitRecord(telemetry.EvRecordRecv, pc, chunk)
 	st := s.getOrCreateStream(chunk.StreamID, pc)
 	if st == nil {
 		bufpool.Put(owner)
@@ -429,26 +516,15 @@ func (s *Session) dispatchChunk(pc *pathConn, chunk *record.StreamChunk, owner [
 	st.deliver(pc, chunk, owner)
 }
 
+// dispatchFrame acts on one control frame other than an Ack (which
+// handleControl takes by value).
 func (s *Session) dispatchFrame(pc *pathConn, f record.Frame) {
-	s.ctr.ctrlRcvd.Add(1)
-	s.emit(telemetry.Event{
-		Kind: telemetry.EvCtrlRecv,
-		Path: pc.id,
-		S:    record.Type(f).String(),
-	})
 	switch fr := f.(type) {
 	case record.Ping:
-		pc.writeControl(record.Pong{Seq: fr.Seq})
+		pc.queuePong(record.Pong{Seq: fr.Seq})
 	case record.Pong:
 		// Liveness confirmed: match the probe, update RTT/loss scoring.
 		pc.handlePong(fr.Seq)
-	case record.Ack:
-		s.mu.Lock()
-		st := s.streams[fr.StreamID]
-		s.mu.Unlock()
-		if st != nil {
-			st.handleAck(fr.Offset)
-		}
 	case record.StreamOpen:
 		// Peer will send stream data on this conn: derive the context
 		// before its first data record arrives (FIFO on this conn).
@@ -461,10 +537,7 @@ func (s *Session) dispatchFrame(pc *pathConn, f record.Frame) {
 		}
 		s.getOrCreateStream(fr.StreamID, pc)
 	case record.StreamClose:
-		s.mu.Lock()
-		st := s.streams[fr.StreamID]
-		s.mu.Unlock()
-		if st != nil {
+		if st := s.stream(fr.StreamID); st != nil {
 			st.deliver(pc, &record.StreamChunk{
 				StreamID: fr.StreamID, Offset: fr.FinalOffset, Fin: true,
 			}, nil)

@@ -675,12 +675,19 @@ func (s *Session) teardown(err error) {
 	})
 }
 
-// touch records data activity (a stream record sent or received) for
-// idle classification by the shed pass. Control traffic — health pings,
+// touch records data activity (a burst of stream records sent, a batch
+// received) for idle classification by the shed pass. Control traffic — health pings,
 // acks — deliberately does not count: a session kept "alive" only by
 // its own probes is exactly the idle session shedding must reclaim.
 func (s *Session) touch() {
 	s.lastActive.Store(time.Now().UnixNano())
+}
+
+// stream returns the stream with the given id, or nil.
+func (s *Session) stream(id uint32) *Stream {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.streams[id]
 }
 
 // Err returns the terminal session error, if any.

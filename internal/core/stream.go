@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
+	"github.com/pluginized-protocols/gotcpls/internal/bytering"
 	"github.com/pluginized-protocols/gotcpls/internal/record"
 	"github.com/pluginized-protocols/gotcpls/internal/telemetry"
 )
@@ -27,18 +28,25 @@ type Stream struct {
 	writeCond *sync.Cond
 	spaceCond *sync.Cond // receive-buffer space freed (backpressure)
 
-	// Send side.
+	// Send side. replay is the replay buffer (§2.1; DESIGN.md §9): stream
+	// bytes [sendOffset-replay.Len(), sendOffset), held until acked. A FIN
+	// is outstanding while finSent and ackedTo <= sendOffset. writing
+	// serializes Write calls, so at most one burst is being sealed from the
+	// ring outside mu: while pinned, bytes from pinOff on stay even if acked.
+	writing    sync.Mutex
 	sendOffset uint64 // next offset to assign
 	ackedTo    uint64
-	unacked    []*record.StreamChunk // replay buffer (§2.1)
-	unackedLen int
+	replay     bytering.Ring
+	pinned     bool
+	pinOff     uint64
 	finSent    bool
 	attached   *pathConn // preferred connection (ModeSinglePath)
 
 	// Receive side. Decrypted record payloads are queued as segments
 	// still backed by their pooled record buffers; the single copy to
 	// application memory happens in Read, which then recycles them.
-	recvQ        []recvSeg
+	recvQ        []recvSeg // recvQ[recvHead:] is queued; the array is kept
+	recvHead     int
 	recvQBytes   int
 	recvNext     uint64
 	ooo          []oooSeg
@@ -130,7 +138,7 @@ func (s *Session) AcceptStream() (*Stream, error) {
 	return st, nil
 }
 
-// Streams returns a snapshot of the session's streams.
+// Streams returns a snapshot of the session's streams, in id order.
 func (s *Session) Streams() []*Stream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,12 +218,6 @@ func (st *Stream) AttachedPath() uint32 {
 	return st.attached.id
 }
 
-// pickConn selects the connection for the next chunk.
-func (st *Stream) pickConn() *pathConn {
-	pc, _, _ := st.pickConnInfo()
-	return pc
-}
-
 // pickConnInfo selects the connection for the next chunk, also
 // reporting the free congestion-window estimate and whether the
 // transport is introspectable (aggregate pacing uses both).
@@ -256,34 +258,41 @@ func (st *Stream) pickConnInfo() (*pathConn, int, bool) {
 	return best, bestFree, introspectable
 }
 
-// Write implements io.Writer: data is chunked, sequenced, encrypted
-// under the stream's context and retained for replay until acked.
-//
-// Chunks are flushed in bursts: everything one pass can frame (up to
-// maxWriteBurst chunks) is sequenced under a single stream-lock
-// acquisition and handed to the batched record writer, which seals the
-// whole burst into one buffer and issues one transport write. In
-// aggregation mode the burst is a single cwnd-matched chunk, because
-// each chunk re-picks the least-loaded path (striping granularity is
-// the point there, not batching).
+// Write implements io.Writer: data is copied once, into the replay ring,
+// sequenced, sealed under the stream's context straight from the ring and
+// retained there until acked. It proceeds in bursts: up to maxWriteBurst
+// chunks enter the ring under one stream-lock acquisition and go to the
+// path as spans of the ring — pinned, so they can be read outside st.mu —
+// for one seal pass and one transport write. In aggregation mode a burst
+// is one cwnd-matched chunk, because each chunk re-picks the least-loaded
+// path (striping granularity is the point there, not batching).
 func (st *Stream) Write(p []byte) (int, error) {
+	st.writing.Lock()
+	defer st.writing.Unlock()
+	s := st.session
+	var reg writerReg
+	defer reg.move(nil)
 	total := 0
-	burst := make([]*record.StreamChunk, 0, maxWriteBurst)
 	for len(p) > 0 {
 		st.mu.Lock()
-		for st.unackedLen >= replayBufferLimit && st.err == nil && !st.session.cfg.DisableAcks {
+		if reg.pc != nil && st.replayFull() {
+			// About to wait for the peer's acks: hand the ones this path
+			// owes the peer back to the read loop first.
+			st.mu.Unlock()
+			reg.move(nil)
+			continue
+		}
+		for st.replayFull() {
 			st.writeCond.Wait()
 		}
-		if st.err != nil {
-			err := st.err
-			st.mu.Unlock()
-			return total, err
-		}
-		if st.finSent || st.closed {
-			st.mu.Unlock()
-			return total, ErrSessionClosed
+		err := st.err
+		if err == nil && (st.finSent || st.closed) {
+			err = ErrSessionClosed
 		}
 		st.mu.Unlock()
+		if err != nil {
+			return total, err
+		}
 
 		pc, free, introspectable := st.pickConnInfo()
 		if pc == nil {
@@ -291,58 +300,86 @@ func (st *Stream) Write(p []byte) (int, error) {
 			// connectivity rather than failing the write — the paper's
 			// server "seamlessly switches the path while looping over
 			// tcpls_send" (§3.2).
-			pc = st.session.waitForPath(30 * time.Second)
+			reg.move(nil)
+			pc = s.waitForPath(30 * time.Second)
 			if pc == nil {
 				return total, ErrNoConnection
 			}
 			continue
 		}
-		aggregate := st.session.cfg.Mode == ModeAggregate
+		aggregate := s.cfg.Mode == ModeAggregate
 		if aggregate && introspectable && free < 1024 {
 			// Every path's window is full: writing now would block on one
 			// TCP connection's buffer and starve the others. Yield until
 			// acks open a window somewhere (cross-layer pacing).
-			time.Sleep(st.session.cfg.Clock.ScaleDuration(500 * time.Microsecond))
+			reg.move(nil)
+			time.Sleep(s.cfg.Clock.ScaleDuration(500 * time.Microsecond))
 			continue
 		}
-		burstCap := maxWriteBurst
-		if aggregate {
-			burstCap = 1 // per-chunk path re-selection stripes the load
-		}
+		reg.move(pc)
 		chunkLen := pc.chunkSize()
+		burst := maxWriteBurst * chunkLen
+		if aggregate {
+			burst = chunkLen // per-chunk path re-selection stripes the load
+		}
 
 		st.mu.Lock()
-		burst = burst[:0]
-		for len(p) > 0 && len(burst) < burstCap {
-			n := min(len(p), chunkLen)
-			chunk := &record.StreamChunk{
-				StreamID: st.id,
-				Offset:   st.sendOffset,
-				Data:     append([]byte(nil), p[:n]...),
-			}
-			st.sendOffset += uint64(n)
-			st.unacked = append(st.unacked, chunk)
-			st.unackedLen += n
-			burst = append(burst, chunk)
-			p = p[n:]
-			total += n
-			if st.unackedLen >= replayBufferLimit {
-				break // re-enter the backpressure wait before continuing
-			}
-		}
+		off := st.sendOffset
+		n := st.replay.Write(p[:min(len(p), burst)], replayBufferLimit)
+		a, b := st.replay.Spans(st.replay.Len()-n, n)
+		st.sendOffset += uint64(n)
+		st.pinned, st.pinOff = true, off
 		st.mu.Unlock()
+		p = p[n:]
+		total += n
 
-		if err := pc.writeChunkBatch(burst); err != nil {
-			// The connection died mid-write: the chunks stay in the
-			// replay buffer, failover will resend them. Surface the error
-			// only if the whole session is done.
+		err = pc.writeStream(st, off, a, b, chunkLen, false)
+
+		st.mu.Lock()
+		st.pinned = false
+		if s.cfg.DisableAcks {
+			// No ack will ever release these bytes: the transport has them.
+			st.ackedTo = max(st.ackedTo, st.sendOffset)
+		}
+		st.trimReplay()
+		st.mu.Unlock()
+		if err != nil {
+			// The connection died mid-write: the bytes stay in the replay
+			// ring for failover. Fail only if the whole session is done.
 			pc.handleDeath(err)
-			if st.session.Closed() {
+			if s.Closed() {
 				return total, err
 			}
 		}
 	}
 	return total, nil
+}
+
+// replayFull reports whether Write must wait for acks (never with
+// DisableAcks: every burst empties the ring). Caller holds st.mu.
+func (st *Stream) replayFull() bool {
+	return st.replay.Len() >= replayBufferLimit && st.err == nil
+}
+
+// writerReg is one Write call's registration as a data writer on a path:
+// while a path has one, its read loop leaves pending control frames to
+// the writer's lockWrite/unlockWrite and never itself writes to a
+// transport the writer may have filled. Held from the first burst until
+// Write returns, changes path or has to wait for the peer.
+type writerReg struct{ pc *pathConn }
+
+func (w *writerReg) move(pc *pathConn) {
+	if w.pc == pc {
+		return
+	}
+	if w.pc != nil {
+		w.pc.writers.Add(-1)
+		w.pc.kick()
+	}
+	if pc != nil {
+		pc.writers.Add(1)
+	}
+	w.pc = pc
 }
 
 // Close half-closes the stream (tcpls_stream_close): a FIN chunk marks
@@ -357,8 +394,6 @@ func (st *Stream) Close() error {
 		return nil
 	}
 	st.finSent = true
-	chunk := &record.StreamChunk{StreamID: st.id, Offset: st.sendOffset, Fin: true}
-	st.unacked = append(st.unacked, chunk)
 	final := st.sendOffset
 	st.mu.Unlock()
 	st.session.emit(telemetry.Event{
@@ -366,14 +401,14 @@ func (st *Stream) Close() error {
 		Stream: st.id,
 		A:      int64(final),
 	})
-	pc := st.pickConn()
+	pc, _, _ := st.pickConnInfo()
 	if pc == nil {
 		pc = st.session.waitForPath(30 * time.Second)
 	}
 	if pc == nil {
 		return ErrNoConnection
 	}
-	if err := pc.writeChunk(chunk); err != nil {
+	if err := pc.writeStream(st, final, nil, nil, 0, true); err != nil {
 		pc.handleDeath(err)
 	}
 	return nil
@@ -389,21 +424,27 @@ func (st *Stream) Read(p []byte) (int, error) {
 	for {
 		if st.recvQBytes > 0 {
 			n := 0
-			for n < len(p) && len(st.recvQ) > 0 {
-				seg := &st.recvQ[0]
+			for n < len(p) && st.recvHead < len(st.recvQ) {
+				seg := &st.recvQ[st.recvHead]
 				m := copy(p[n:], seg.data)
 				n += m
 				if m == len(seg.data) {
 					bufpool.Put(seg.owner)
-					st.recvQ[0] = recvSeg{}
-					st.recvQ = st.recvQ[1:]
+					*seg = recvSeg{}
+					st.recvHead++
 				} else {
 					seg.data = seg.data[m:]
 				}
 			}
 			st.recvQBytes -= n
-			if len(st.recvQ) == 0 {
-				st.recvQ = nil // let the drained backing array go
+			if st.recvHead == len(st.recvQ) {
+				st.recvQ, st.recvHead = st.recvQ[:0], 0
+			} else if st.recvHead >= 64 && 2*st.recvHead >= len(st.recvQ) {
+				// A queue that never quite drains must not creep up its
+				// array: slide the live half down once it is the smaller.
+				k := copy(st.recvQ, st.recvQ[st.recvHead:])
+				clear(st.recvQ[k:])
+				st.recvQ, st.recvHead = st.recvQ[:k], 0
 			}
 			st.spaceCond.Broadcast() // wake read loops parked on backpressure
 			return n, nil
@@ -479,7 +520,7 @@ func (st *Stream) deliver(pc *pathConn, chunk *record.StreamChunk, owner []byte)
 		st.session.observePhase("ttfb_ns", st.openedAt)
 	}
 	if needAck {
-		pc.writeControl(record.Ack{StreamID: st.id, Offset: ackOffset})
+		pc.queueAck(record.Ack{StreamID: st.id, Offset: ackOffset})
 	}
 }
 
@@ -542,12 +583,11 @@ func (st *Stream) drainOOO() {
 			bufpool.Put(c.owner) // overtaken by newer data: duplicate
 		}
 	}
-	if len(st.ooo) == 0 {
-		st.ooo = nil
-	}
 }
 
-// handleAck trims the replay buffer below offset.
+// handleAck releases the replay buffer below offset. An ack of exactly
+// the final offset covers the data only; the FIN stays outstanding until
+// the receiver acks one past it.
 func (st *Stream) handleAck(offset uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -555,38 +595,55 @@ func (st *Stream) handleAck(offset uint64) {
 		return
 	}
 	st.ackedTo = offset
-	out := st.unacked[:0]
-	for _, c := range st.unacked {
-		if c.Offset+uint64(len(c.Data)) <= offset && !c.Fin {
-			st.unackedLen -= len(c.Data)
-			continue
-		}
-		if c.Fin && offset > c.Offset {
-			// Strictly greater: the receiver acks finalOffset+1 once the
-			// FIN is delivered. An ack of exactly finalOffset covers the
-			// data only, and the FIN chunk must survive for replay.
-			continue
-		}
-		out = append(out, c)
-	}
-	st.unacked = out
+	st.trimReplay()
 	st.writeCond.Broadcast()
 }
 
+// trimReplay discards the acked head of the replay ring, short of a burst
+// Write is still sealing from. Caller holds st.mu.
+func (st *Stream) trimReplay() {
+	upTo := min(st.ackedTo, st.sendOffset)
+	if st.pinned {
+		upTo = min(upTo, st.pinOff)
+	}
+	if base := st.sendOffset - uint64(st.replay.Len()); upTo > base {
+		st.replay.Discard(int(upTo - base))
+	}
+}
+
 // replayUnacked resends the replay buffer on pc (failover, §2.1: "replay
-// the records that have been lost"; the receiver deduplicates).
+// the records that have been lost"; the receiver deduplicates). Acks keep
+// arriving, so the ring is read under st.mu only: each round copies the
+// next unacked stretch out and sends the copy. Bytes written after the
+// replay began are their Write's to send, on pc from now on.
 func (st *Stream) replayUnacked(pc *pathConn) {
 	st.mu.Lock()
-	chunks := append([]*record.StreamChunk(nil), st.unacked...)
 	st.attached = pc
+	end := st.sendOffset
 	st.mu.Unlock()
-	if len(chunks) > 0 {
-		st.session.ctr.replays.Add(uint64(len(chunks)))
-	}
-	for _, c := range chunks {
-		if err := pc.writeChunk(c); err != nil {
+	buf := bufpool.Get(64 << 10)
+	defer bufpool.Put(buf)
+	for next := uint64(0); ; {
+		st.mu.Lock()
+		base := st.sendOffset - uint64(st.replay.Len())
+		next = min(max(next, base), end)
+		n := min(int(end-next), len(buf))
+		a, b := st.replay.Spans(int(next-base), n)
+		copy(buf[copy(buf, a):], b)
+		fin := next+uint64(n) == st.sendOffset && st.finSent && st.ackedTo <= st.sendOffset
+		st.mu.Unlock()
+		if n == 0 && !fin {
 			return
 		}
+		chunkLen := pc.chunkSize()
+		st.session.ctr.replays.Add(uint64((n + chunkLen - 1) / chunkLen))
+		if fin {
+			st.session.ctr.replays.Add(1)
+		}
+		if err := pc.writeStream(st, next, buf[:n], nil, chunkLen, fin); err != nil || fin {
+			return
+		}
+		next += uint64(n)
 	}
 }
 
@@ -599,10 +656,13 @@ func (st *Stream) terminate(err error) {
 		st.err = err
 	}
 	st.closed = true
-	for _, seg := range st.recvQ {
+	for _, seg := range st.recvQ[st.recvHead:] {
 		bufpool.Put(seg.owner)
 	}
-	st.recvQ, st.recvQBytes = nil, 0
+	st.recvQ, st.recvHead, st.recvQBytes = nil, 0, 0
+	if !st.pinned {
+		st.replay = bytering.Ring{} // nothing will replay it
+	}
 	for _, o := range st.ooo {
 		bufpool.Put(o.owner)
 	}
@@ -617,7 +677,7 @@ func (st *Stream) terminate(err error) {
 func (st *Stream) BytesUnacked() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.unackedLen
+	return st.replay.Len()
 }
 
 // StreamState is a point-in-time snapshot of one stream's transfer
@@ -643,7 +703,7 @@ func (st *Stream) state() StreamState {
 		ID:           st.id,
 		SendOffset:   st.sendOffset,
 		AckedTo:      st.ackedTo,
-		Unacked:      st.unackedLen,
+		Unacked:      st.replay.Len(),
 		FinSent:      st.finSent,
 		RecvNext:     st.recvNext,
 		OOO:          len(st.ooo),
@@ -654,18 +714,12 @@ func (st *Stream) state() StreamState {
 	}
 }
 
-// StreamStates snapshots every stream of the session.
+// StreamStates snapshots every stream of the session, in id order.
 func (s *Session) StreamStates() []StreamState {
-	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.mu.Unlock()
+	streams := s.Streams()
 	out := make([]StreamState, 0, len(streams))
 	for _, st := range streams {
 		out = append(out, st.state())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/pluginized-protocols/gotcpls/internal/telemetry"
+	"github.com/pluginized-protocols/gotcpls/internal/tls13"
 )
 
 // sessionSeq numbers sessions process-wide so each gets a distinct
@@ -250,6 +251,21 @@ func (s *Session) registerSessionMetrics() {
 	reg.Func(p+"replays", func() int64 { return int64(s.ctr.replays.Load()) })
 	reg.Func(p+"caps_degraded", func() int64 { return int64(s.ctr.capsDegraded.Load()) })
 	reg.Func(p+"stalls", func() int64 { return int64(s.ctr.stalls.Load()) })
+	reg.Func(p+"aead_records_left", func() int64 { return int64(s.AEADRecordsLeft()) })
+}
+
+// AEADRecordsLeft reports how many more records the session's busiest
+// live connection may protect before the AEAD usage limit ends it with
+// tls13.ErrKeyLimit (nothing re-keys a connection). Also exported as the
+// session.<n>.aead_records_left metric.
+func (s *Session) AEADRecordsLeft() uint64 {
+	left := uint64(tls13.MaxRecordsPerKey)
+	for _, pc := range s.livePaths() {
+		if pc.tls != nil {
+			left = min(left, pc.tls.RecordsLeft())
+		}
+	}
+	return left
 }
 
 // registerPathMetrics publishes one path's health gauges under

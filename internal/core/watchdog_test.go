@@ -166,9 +166,7 @@ func TestZeroWindowStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
-	st.unackedLen = 64 // data waiting for a peer that will never drain
-	st.mu.Unlock()
+	holdUnacked(st, 64) // data waiting for a peer that will never drain
 
 	s.startStallWatchdog()
 	waitFor(t, 5*time.Second, func() bool {
@@ -208,4 +206,12 @@ func TestZeroWindowNeedsPendingData(t *testing.T) {
 	if s.Closed() {
 		t.Fatalf("watchdog fired with no data in flight: %v", s.Err())
 	}
+}
+
+// holdUnacked puts n sent-but-unacked bytes into the stream's replay
+// buffer without a path to send them on.
+func holdUnacked(st *Stream, n int) {
+	st.mu.Lock()
+	st.sendOffset += uint64(st.replay.Write(make([]byte, n), replayBufferLimit))
+	st.mu.Unlock()
 }

@@ -336,17 +336,26 @@ func (f ConnClose) encodeBody(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, f.ConnID)
 }
 
+// AppendFrame appends one encoded control frame — type, length, body —
+// to b. The body is encoded in place with its length prefix backfilled,
+// and a frame passed by its concrete type is never boxed, so a caller
+// building a record in a pooled buffer pays no allocation per frame. A
+// control record's plaintext is its frames followed by the TTypeControl
+// trailer.
+func AppendFrame[F Frame](b []byte, f F) []byte {
+	codecCtr.framesEncoded.Add(1)
+	b = append(b, byte(f.frameType()), 0, 0)
+	lenAt := len(b) - 2
+	b = f.encodeBody(b)
+	binary.BigEndian.PutUint16(b[lenAt:], uint16(len(b)-lenAt-2))
+	return b
+}
+
 // AppendControl packs frames into one control-record plaintext
-// (including the TType trailer), appending to b. Frame bodies are
-// encoded in place with their length prefix backfilled, so a caller
-// supplying a pooled buffer pays no intermediate allocations.
+// (including the TType trailer), appending to b.
 func AppendControl(b []byte, frames ...Frame) []byte {
-	codecCtr.framesEncoded.Add(uint64(len(frames)))
 	for _, f := range frames {
-		b = append(b, byte(f.frameType()), 0, 0)
-		lenAt := len(b) - 2
-		b = f.encodeBody(b)
-		binary.BigEndian.PutUint16(b[lenAt:], uint16(len(b)-lenAt-2))
+		b = AppendFrame(b, f)
 	}
 	return append(b, byte(TTypeControl))
 }
@@ -359,12 +368,30 @@ func EncodeControl(frames ...Frame) []byte {
 
 // MaxControlFrames caps how many frames one control record may carry.
 // Frames can be as small as three bytes, so without a cap a single
-// max-size record decodes into thousands of allocations; no legitimate
-// sender batches anywhere near this many.
+// max-size record turns into thousands of frames to act on; no
+// legitimate sender batches anywhere near this many.
 const MaxControlFrames = 512
 
+// NextFrame splits the first frame off a control-record content (without
+// TType): its type, its body and what follows it. body and rest alias b.
+// A receiver walks a record with it frame by frame — nothing is
+// allocated — and stops at MaxControlFrames.
+func NextFrame(b []byte) (ft FrameType, body, rest []byte, err error) {
+	if len(b) < 3 {
+		codecCtr.decodeErrors.Add(1)
+		return 0, nil, nil, ErrBadFrame
+	}
+	n := int(binary.BigEndian.Uint16(b[1:]))
+	if len(b) < 3+n {
+		codecCtr.decodeErrors.Add(1)
+		return 0, nil, nil, ErrBadFrame
+	}
+	codecCtr.framesDecoded.Add(1)
+	return FrameType(b[0]), b[3 : 3+n], b[3+n:], nil
+}
+
 // DecodeControl parses a control-record content (without TType) into
-// frames.
+// frames, all of them or none.
 func DecodeControl(b []byte) ([]Frame, error) {
 	var frames []Frame
 	for len(b) > 0 {
@@ -372,27 +399,37 @@ func DecodeControl(b []byte) ([]Frame, error) {
 			codecCtr.decodeErrors.Add(1)
 			return nil, fmt.Errorf("%w: more than %d frames in one record", ErrBadFrame, MaxControlFrames)
 		}
-		if len(b) < 3 {
-			codecCtr.decodeErrors.Add(1)
-			return nil, ErrBadFrame
-		}
-		ft := FrameType(b[0])
-		n := int(binary.BigEndian.Uint16(b[1:]))
-		if len(b) < 3+n {
-			codecCtr.decodeErrors.Add(1)
-			return nil, ErrBadFrame
-		}
-		body := b[3 : 3+n]
-		b = b[3+n:]
-		f, err := decodeFrame(ft, body)
+		ft, body, rest, err := NextFrame(b)
 		if err != nil {
-			codecCtr.decodeErrors.Add(1)
 			return nil, err
 		}
-		frames = append(frames, f)
+		f, err := DecodeFrame(ft, body)
+		if err != nil {
+			return nil, err
+		}
+		frames, b = append(frames, f), rest
 	}
-	codecCtr.framesDecoded.Add(uint64(len(frames)))
 	return frames, nil
+}
+
+// ParseAck decodes an Ack frame body by value: the one frame a bulk
+// receiver sends per ackInterval and a bulk sender must not box.
+func ParseAck(body []byte) (Ack, error) {
+	if len(body) != 12 {
+		codecCtr.decodeErrors.Add(1)
+		return Ack{}, ErrBadFrame
+	}
+	return Ack{binary.BigEndian.Uint32(body), binary.BigEndian.Uint64(body[4:])}, nil
+}
+
+// DecodeFrame decodes one frame body of the given type (see NextFrame).
+// Nothing in the frame aliases body.
+func DecodeFrame(ft FrameType, body []byte) (Frame, error) {
+	f, err := decodeFrame(ft, body)
+	if err != nil {
+		codecCtr.decodeErrors.Add(1)
+	}
+	return f, err
 }
 
 func decodeFrame(ft FrameType, body []byte) (Frame, error) {
@@ -418,7 +455,8 @@ func decodeFrame(ft FrameType, body []byte) (Frame, error) {
 		if len(body) != 12 {
 			return nil, ErrBadFrame
 		}
-		return Ack{binary.BigEndian.Uint32(body), binary.BigEndian.Uint64(body[4:])}, nil
+		a, _ := ParseAck(body)
+		return a, nil
 	case FrameStreamOpen:
 		if len(body) != 4 {
 			return nil, ErrBadFrame

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
+	"github.com/pluginized-protocols/gotcpls/internal/bytering"
 	"github.com/pluginized-protocols/gotcpls/internal/cc"
 	"github.com/pluginized-protocols/gotcpls/internal/telemetry"
 	"github.com/pluginized-protocols/gotcpls/internal/timingwheel"
@@ -96,10 +97,10 @@ type Conn struct {
 	iss      uint32
 	sndUna   uint32
 	sndNxt   uint32
-	sndMax   uint32  // highest sequence ever sent (for Karn after go-back-N)
-	sndBuf   sendBuf // bytes [sndUna, sndUna+Len())
-	sndWnd   int     // peer's advertised window, scaled
-	sndScale uint8   // peer's window scale
+	sndMax   uint32        // highest sequence ever sent (for Karn after go-back-N)
+	sndBuf   bytering.Ring // bytes [sndUna, sndUna+Len())
+	sndWnd   int           // peer's advertised window, scaled
+	sndScale uint8         // peer's window scale
 	mss      int
 	ctrl     cc.Controller
 
@@ -587,7 +588,7 @@ func (c *Conn) processAck(seg *wire.Segment) bool {
 		if finAcked {
 			dataAcked-- // the FIN's sequence slot
 		}
-		c.sndBuf.discard(min(dataAcked, c.sndBuf.Len()))
+		c.sndBuf.Discard(min(dataAcked, c.sndBuf.Len()))
 		c.sndUna = ack
 		if seqLT(c.sndNxt, c.sndUna) {
 			c.sndNxt = c.sndUna // ack overtook a go-back-N reset point

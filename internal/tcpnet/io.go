@@ -84,7 +84,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if c.bytesInFlight() == 0 && c.sndBuf.Len() == 0 {
 			c.oldestTx = time.Now()
 		}
-		n := c.sndBuf.write(b, c.stack.config.SendBuf)
+		n := c.sndBuf.Write(b, c.stack.config.SendBuf)
 		b = b[n:]
 		total += n
 		c.maybeSendLocked()
@@ -122,7 +122,7 @@ func (c *Conn) maybeSendLocked() {
 			Seq: c.sndNxt, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK,
 			Window:  c.windowField(),
-			Payload: c.sndBuf.view(offset, n),
+			Payload: c.sndBuf.View(offset, n),
 		}
 		if n == unsent {
 			seg.Flags |= wire.FlagPSH
@@ -351,7 +351,7 @@ func (c *Conn) onProbeTimeout() {
 				Seq: c.sndUna + uint32(startOff), Ack: c.rcvNxt,
 				Flags:   wire.FlagACK | wire.FlagPSH,
 				Window:  c.windowField(),
-				Payload: c.sndBuf.view(startOff, n),
+				Payload: c.sndBuf.View(startOff, n),
 			}
 			c.stats.Retransmits++
 			c.stack.ctr.retransmits.Add(1)
@@ -460,7 +460,7 @@ func (c *Conn) onPersistTimeout() {
 			Seq: c.sndNxt, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK | wire.FlagPSH,
 			Window:  c.windowField(),
-			Payload: c.sndBuf.view(offset, 1),
+			Payload: c.sndBuf.View(offset, 1),
 		}
 		c.sndNxt++
 		if seqLT(c.sndMax, c.sndNxt) {
@@ -546,7 +546,7 @@ func (c *Conn) sackRetransmit(budget int) {
 			Seq: c.rtxNext, Ack: c.rcvNxt,
 			Flags:   wire.FlagACK | wire.FlagPSH,
 			Window:  c.windowField(),
-			Payload: c.sndBuf.view(off, n),
+			Payload: c.sndBuf.View(off, n),
 		}
 		c.stats.Retransmits++
 		c.stack.ctr.retransmits.Add(1)

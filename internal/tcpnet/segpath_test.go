@@ -1,6 +1,6 @@
 package tcpnet
 
-// Tests for the per-segment path: the ring send buffer against a byte-slice
+// Tests for the per-segment path: the send path against a byte-slice
 // model, byte-exact delivery through loss and reordering with the pooled
 // buffers accounted for, seeded reproducibility of the segments a stack
 // emits, and the allocation bound and benchmark of a bulk transfer.
@@ -35,54 +35,7 @@ func testSeed(t *testing.T) int64 {
 	return seed
 }
 
-// TestSendBufMatchesModel drives the send buffer through random writes,
-// discards and views — sized so the ring wraps and grows many times —
-// against a plain byte slice.
-func TestSendBufMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(testSeed(t)))
-	for _, limit := range []int{1, 100, minSendBufCap - 1, minSendBufCap, 3*minSendBufCap + 17, 64 << 10} {
-		var sb sendBuf
-		var model []byte
-		wraps := 0
-		for step := 0; step < 4000; step++ {
-			switch rng.Intn(3) {
-			case 0:
-				b := make([]byte, rng.Intn(2*limit+1))
-				rng.Read(b)
-				n := sb.write(b, limit)
-				if want := min(len(b), limit-len(model)); n != want {
-					t.Fatalf("limit %d: write took %d of %d with %d held, want %d", limit, n, len(b), len(model), want)
-				}
-				model = append(model, b[:n]...)
-			case 1:
-				n := rng.Intn(len(model) + 1)
-				sb.discard(n)
-				model = model[n:]
-			case 2:
-				if len(model) == 0 {
-					continue
-				}
-				off := rng.Intn(len(model))
-				n := 1 + rng.Intn(min(1400, len(model)-off))
-				got := sb.view(off, n)
-				if !bytes.Equal(got, model[off:off+n]) {
-					t.Fatalf("limit %d step %d: view(%d,%d) differs from the model", limit, step, off, n)
-				}
-				if cap(sb.wrap) > 0 && &got[0] == &sb.wrap[:1][0] {
-					wraps++
-				}
-			}
-			if sb.Len() != len(model) || len(sb.buf) > limit {
-				t.Fatalf("limit %d: holds %d in an array of %d, model %d", limit, sb.Len(), len(sb.buf), len(model))
-			}
-		}
-		if limit > 1400 && wraps == 0 {
-			t.Errorf("limit %d: no view ever straddled the end of the ring", limit)
-		}
-	}
-}
-
-// TestSendPathMatchesModel is the same comparison one level up: a raw peer
+// TestSendPathMatchesModel is bytering's TestRingMatchesModel one level up: a raw peer
 // acknowledges a connection's stream at random — in full, partially (inside
 // a segment), selectively around segments it pretends were lost, or not at
 // all until the retransmission timer fires — while the connection's send
@@ -94,7 +47,8 @@ func TestSendPathMatchesModel(t *testing.T) {
 	seed := testSeed(t)
 	rng, writerRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1))
 	const total = 160 << 10
-	h := newScriptHarness(t, Config{SendBuf: 3*minSendBufCap + 1000})
+	// Three and a bit times the ring's smallest array: it grows twice, then wraps.
+	h := newScriptHarness(t, Config{SendBuf: 3*(4<<10) + 1000})
 	h.run(handshakeSteps())
 
 	model := make([]byte, total)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,24 +49,6 @@ func fixedKeyLayer(rw io.ReadWriter, streamIDs ...uint32) *recordLayer {
 	return rl
 }
 
-// writeSingle replays the exact WriteRecordParts logic (minus the Conn
-// locking) one record at a time — the reference implementation the
-// batch path must match byte for byte.
-func writeSingle(rl *recordLayer, r OutRecord) error {
-	if len(r.Head)+len(r.Body)+len(r.Tail) > MaxPlaintext {
-		return ErrRecordOverflow
-	}
-	if r.Ctx == DefaultContext {
-		if rl.out.seq >= aeadLimit {
-			return ErrKeyLimit
-		}
-		err := rl.writeSealed(rl.out.nonce(), r.Head, r.Body, r.Tail, RecordTypeApplicationData)
-		rl.out.seq++
-		return err
-	}
-	return rl.writeRecordContextParts(r.Ctx, r.Head, r.Body, r.Tail)
-}
-
 // randomRecords generates a batch with adversarial shape variety:
 // empty, tiny, cwnd-sized and limit-sized payloads, random part splits
 // and random context selection.
@@ -97,12 +81,106 @@ func randomRecords(rng *rand.Rand, n int, ctxs []uint32) []OutRecord {
 	return recs
 }
 
-// TestBatchSealMatchesSingleWire is the differential property test: for
-// random batch shapes, record sizes and context mixes, the batched
-// sealer must emit wire bytes identical to the single-record path, and
-// the batch opener must return the identical plaintexts and context
-// ids. Seeds are logged for replay.
-func TestBatchSealMatchesSingleWire(t *testing.T) {
+// goldenPat is the deterministic payload of the golden-vector records.
+func goldenPat(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31 + salt)
+	}
+	return b
+}
+
+// TestGoldenWire pins the wire image of the one record path. The vectors
+// were produced by the single-record writer this path replaced
+// (writeRecord/writeSealed/writeRecordContextParts, one call per record,
+// fixedKeyLayer keys, the cases written in this order on one layer so the
+// sequence numbers carry over): default context, stream context, an empty
+// record, a mixed-context batch of 15 that exactly fits the staging
+// buffer, and a batch that spills it. Written here as one batch per case,
+// every byte must still be what the single path put on the wire.
+func TestGoldenWire(t *testing.T) {
+	var batch15, spill []OutRecord
+	ctxs := []uint32{3, 9, DefaultContext}
+	for i := 0; i < 15; i++ {
+		batch15 = append(batch15, OutRecord{Ctx: ctxs[i%3], Head: goldenPat(13, i), Body: goldenPat(4096, 2*i), Tail: []byte{2}})
+	}
+	for i := 0; i < 6; i++ {
+		spill = append(spill, OutRecord{Ctx: 3, Head: goldenPat(13, 40+i), Body: goldenPat(MaxPlaintext-14, 50+i), Tail: []byte{2}})
+	}
+	cases := []struct {
+		name   string
+		recs   []OutRecord
+		size   int
+		sha256 string
+		hex    string // the whole wire image, where it is short enough to read
+	}{
+		{"default-one", []OutRecord{{Ctx: DefaultContext, Head: goldenPat(8, 1), Body: goldenPat(100, 2), Tail: []byte{1}}}, 131,
+			"3a365673823ebe2f4ae33208bb096067b350abd0d560498697cfc7997359f720",
+			"170303007ee0a06439669afb7e921536c5b7e6c60abb4d704a56ada4318610e4188cf6a5815c28842f64446ac4e33b16900477b34fd19d12d305795ecfd2d5f6850bab726c87cdfe5eab5df66aae419913286336660b6de4f0640b27fa247f846c08d9706b63783aafb4e436d17ed38f3a47ba599c85c675b7f9ed508335e661142f88"},
+		{"stream-one", []OutRecord{{Ctx: 3, Head: goldenPat(13, 3), Body: goldenPat(1024, 4), Tail: []byte{2}}}, 1060,
+			"b828ecf630aa89aa472ee1da6b1276a6115124713cf28e2598f3e71e3d63642e", ""},
+		{"empty-default", []OutRecord{{Ctx: DefaultContext}}, 22,
+			"d1609ba49688369e7ded4c81dce328de448c4ca07bd0eed116ef902f268d20ba",
+			"1703030011a8c450685eb39969dffbced4414af945a4"},
+		{"batch15", batch15, 61980,
+			"2051d6c8f8eaddaaa257bdba9ce4bb4ea08d0eb2ca55a5b4b56fada707785c31", ""},
+		{"spill", spill, 98436,
+			"f954480ef100c6f7032f43775a840cbc27e18c5386ff159185040df2b637bb57", ""},
+	}
+	var wire countingBuffer
+	rl := fixedKeyLayer(&wire, 3, 9)
+	rlR := fixedKeyLayer(&wire, 3, 9)
+	for _, c := range cases {
+		wire.Reset()
+		wire.writes = 0
+		if n, err := rl.writeSealed(c.recs, RecordTypeApplicationData); n != len(c.recs) || err != nil {
+			t.Fatalf("%s: sealed %d of %d: %v", c.name, n, len(c.recs), err)
+		}
+		if wire.Len() != c.size {
+			t.Fatalf("%s: %d wire bytes, want %d", c.name, wire.Len(), c.size)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(wire.Bytes())); got != c.sha256 {
+			t.Fatalf("%s: wire image changed: sha256 %s, want %s", c.name, got, c.sha256)
+		}
+		if c.hex != "" && fmt.Sprintf("%x", wire.Bytes()) != c.hex {
+			t.Fatalf("%s: wire image %x, want %s", c.name, wire.Bytes(), c.hex)
+		}
+		// One transport write for whatever fits the staging buffer; the
+		// spill flushes once on the way (three max-size records fit).
+		if want := (c.size + batchBufCap - 1) / batchBufCap; wire.writes != want {
+			t.Fatalf("%s: %d transport writes, want %d", c.name, wire.writes, want)
+		}
+		for i, want := range c.recs {
+			id, typ, payload, err := rlR.readRecordAny()
+			if err != nil || typ != RecordTypeApplicationData || id != want.Ctx {
+				t.Fatalf("%s record %d: ctx %d type %d: %v", c.name, i, id, typ, err)
+			}
+			if full := slices.Concat(want.Head, want.Body, want.Tail); !bytes.Equal(payload, full) {
+				t.Fatalf("%s record %d: payload mismatch (%d vs %d bytes)", c.name, i, len(payload), len(full))
+			}
+			bufpool.Put(payload)
+		}
+	}
+}
+
+// countingBuffer is a bytes.Buffer that counts the writes made to it.
+type countingBuffer struct {
+	bytes.Buffer
+	writes int
+}
+
+func (b *countingBuffer) Write(p []byte) (int, error) {
+	b.writes++
+	return b.Buffer.Write(p)
+}
+
+// TestBatchSplitInvariant is the property the golden vectors sample: the
+// wire image depends on the records and their order, never on how they
+// were grouped into calls. Random record shapes and context mixes are
+// written once as whole batches, once one record per call and once in
+// random groups; all three wires must be byte-identical, and must open to
+// the same plaintexts and context ids. Seeds are logged for replay.
+func TestBatchSplitInvariant(t *testing.T) {
 	ctxs := []uint32{DefaultContext, 3, 9}
 	for trial := 0; trial < 6; trial++ {
 		seed := time.Now().UnixNano() + int64(trial)*104729
@@ -110,32 +188,41 @@ func TestBatchSealMatchesSingleWire(t *testing.T) {
 			t.Logf("seed=%d", seed)
 			rng := rand.New(rand.NewSource(seed))
 
-			var wireSingle, wireBatch bytes.Buffer
-			rlS := fixedKeyLayer(&wireSingle, 3, 9)
-			rlB := fixedKeyLayer(&wireBatch, 3, 9)
+			var wireWhole, wireOnes, wireGroups bytes.Buffer
+			rlW := fixedKeyLayer(&wireWhole, 3, 9)
+			rlO := fixedKeyLayer(&wireOnes, 3, 9)
+			rlG := fixedKeyLayer(&wireGroups, 3, 9)
+			write := func(rl *recordLayer, recs []OutRecord) {
+				if n, err := rl.writeSealed(recs, RecordTypeApplicationData); err != nil || n != len(recs) {
+					t.Fatalf("seed=%d write: n=%d err=%v", seed, n, err)
+				}
+			}
 
 			var all []OutRecord
 			for round := 0; round < 8; round++ {
-				recs := randomRecords(rng, 1+rng.Intn(9), ctxs)
-				for _, r := range recs {
-					if err := writeSingle(rlS, r); err != nil {
-						t.Fatalf("seed=%d single write: %v", seed, err)
-					}
+				recs := randomRecords(rng, 1+rng.Intn(20), ctxs)
+				write(rlW, recs)
+				for i := range recs {
+					write(rlO, recs[i:i+1])
 				}
-				n, err := rlB.writeSealedBatch(recs)
-				if err != nil || n != len(recs) {
-					t.Fatalf("seed=%d batch write: n=%d err=%v", seed, n, err)
+				for rest := recs; len(rest) > 0; {
+					k := 1 + rng.Intn(len(rest))
+					write(rlG, rest[:k])
+					rest = rest[k:]
 				}
 				all = append(all, recs...)
 			}
 
-			if !bytes.Equal(wireSingle.Bytes(), wireBatch.Bytes()) {
-				t.Fatalf("seed=%d: batched wire differs from single-record wire (%d vs %d bytes)",
-					seed, wireSingle.Len(), wireBatch.Len())
+			if !bytes.Equal(wireWhole.Bytes(), wireOnes.Bytes()) {
+				t.Fatalf("seed=%d: batches of one differ from whole batches on the wire (%d vs %d bytes)",
+					seed, wireOnes.Len(), wireWhole.Len())
+			}
+			if !bytes.Equal(wireWhole.Bytes(), wireGroups.Bytes()) {
+				t.Fatalf("seed=%d: random groups differ from whole batches on the wire (%d vs %d bytes)",
+					seed, wireGroups.Len(), wireWhole.Len())
 			}
 
-			// Open the batched wire and compare plaintexts + contexts.
-			rlR := fixedKeyLayer(&wireBatch, 3, 9)
+			rlR := fixedKeyLayer(&wireWhole, 3, 9)
 			for i, want := range all {
 				id, typ, payload, err := rlR.readRecordAny()
 				if err != nil {
@@ -147,8 +234,7 @@ func TestBatchSealMatchesSingleWire(t *testing.T) {
 				if id != want.Ctx {
 					t.Fatalf("seed=%d record %d: ctx %d want %d", seed, i, id, want.Ctx)
 				}
-				full := append(append(append([]byte{}, want.Head...), want.Body...), want.Tail...)
-				if !bytes.Equal(payload, full) {
+				if full := slices.Concat(want.Head, want.Body, want.Tail); !bytes.Equal(payload, full) {
 					t.Fatalf("seed=%d record %d: payload mismatch (%d vs %d bytes)",
 						seed, i, len(payload), len(full))
 				}
@@ -171,7 +257,7 @@ func TestBatchKeyLimitMidBatch(t *testing.T) {
 	for i := range recs {
 		recs[i] = OutRecord{Ctx: DefaultContext, Body: []byte{byte(i), 1, 2, 3}}
 	}
-	n, err := rl.writeSealedBatch(recs)
+	n, err := rl.writeSealed(recs, RecordTypeApplicationData)
 	if n != 2 || !errors.Is(err, ErrKeyLimit) {
 		t.Fatalf("n=%d err=%v, want 2, ErrKeyLimit", n, err)
 	}
@@ -191,47 +277,59 @@ func TestBatchKeyLimitMidBatch(t *testing.T) {
 	if wire.Len() != 0 {
 		t.Fatalf("%d stray wire bytes after the limit", wire.Len())
 	}
-
-	// Same boundary on a stream context.
-	var wire2 bytes.Buffer
-	rl2 := fixedKeyLayer(&wire2, 7)
-	rl2.out.context(7).seq = aeadLimit - 1
-	recs2 := []OutRecord{
-		{Ctx: 7, Body: []byte("ok")},
-		{Ctx: 7, Body: []byte("over")},
-		{Ctx: DefaultContext, Body: []byte("never")},
-	}
-	n, err = rl2.writeSealedBatch(recs2)
-	if n != 1 || !errors.Is(err, ErrKeyLimit) {
-		t.Fatalf("stream ctx: n=%d err=%v, want 1, ErrKeyLimit", n, err)
-	}
 }
 
-// TestBatchSpillsOverStagingBuffer checks a batch bigger than the
-// staging buffer flushes mid-batch and still produces the identical
-// wire stream.
-func TestBatchSpillsOverStagingBuffer(t *testing.T) {
-	var wireSingle, wireBatch bytes.Buffer
-	rlS := fixedKeyLayer(&wireSingle)
-	rlB := fixedKeyLayer(&wireBatch)
-
-	// 6 max-size records ≈ 100KB sealed — does not fit 64K staging.
-	payload := bytes.Repeat([]byte{0xab}, MaxPlaintext-1)
-	var recs []OutRecord
-	for i := 0; i < 6; i++ {
-		recs = append(recs, OutRecord{Ctx: DefaultContext, Body: payload})
-	}
-	for _, r := range recs {
-		if err := writeSingle(rlS, r); err != nil {
-			t.Fatal(err)
+// TestKeyBudgetSharedAcrossContexts: the AEAD limit belongs to the key,
+// and every context of a direction shares one key. Three streams and the
+// control channel together may protect 2^24 records, not 2^24 each; a
+// context that never came near the figure on its own is refused with the
+// rest, on both sides.
+func TestKeyBudgetSharedAcrossContexts(t *testing.T) {
+	var wire bytes.Buffer
+	rl := fixedKeyLayer(&wire, 3, 5, 7)
+	rlR := fixedKeyLayer(&wire, 3, 5, 7)
+	// Fast-forward: the three streams have protected a third of the budget
+	// each, bar the last six records.
+	const each = aeadLimit/3 - 2 // 3*each = aeadLimit - 7
+	for _, hc := range []*halfConn{&rl.out, &rlR.in} {
+		for _, id := range []uint32{3, 5, 7} {
+			hc.context(id).seq = each
 		}
+		hc.ctxRecords = 3 * each
 	}
-	n, err := rlB.writeSealedBatch(recs)
-	if n != 6 || err != nil {
-		t.Fatalf("n=%d err=%v", n, err)
+	var recs []OutRecord
+	for i := 0; i < 9; i++ {
+		recs = append(recs, OutRecord{Ctx: []uint32{3, 5, 7}[i%3], Body: []byte{byte(i)}})
 	}
-	if !bytes.Equal(wireSingle.Bytes(), wireBatch.Bytes()) {
-		t.Fatal("spilled batch wire differs from single-record wire")
+	n, err := rl.writeSealed(recs, RecordTypeApplicationData)
+	if n != 7 || !errors.Is(err, ErrKeyLimit) {
+		t.Fatalf("sealed %d records then %v, want 7 then ErrKeyLimit at 2^24 in total", n, err)
+	}
+	if used := rl.out.seq + rl.out.ctxRecords; used != aeadLimit {
+		t.Fatalf("key protected %d records, want %d", used, aeadLimit)
+	}
+	if n, err := rl.writeSealed([]OutRecord{{Ctx: DefaultContext, Body: []byte("ack")}}, RecordTypeApplicationData); n != 0 || !errors.Is(err, ErrKeyLimit) {
+		t.Fatalf("control record after the budget: n=%d err=%v, want ErrKeyLimit", n, err)
+	}
+	for i := 0; i < 7; i++ {
+		id, _, payload, err := rlR.readRecordAny()
+		if err != nil || id != recs[i].Ctx || payload[0] != byte(i) {
+			t.Fatalf("record %d: ctx %d: %v", i, id, err)
+		}
+		bufpool.Put(payload)
+	}
+	if rlR.in.forgery == 0 {
+		t.Fatal("switching streams cost no failed open: the fixture is not exercising trial opening")
+	}
+	// The receiver's budget is spent by the records it opened, not by the
+	// trials that failed on the way.
+	if used := rlR.in.seq + rlR.in.ctxRecords; used != aeadLimit {
+		t.Fatalf("receiver counts %d records opened, want %d", used, aeadLimit)
+	}
+	wire.Write([]byte{RecordTypeApplicationData, 3, 3, 0, 17})
+	wire.Write(make([]byte, 17))
+	if _, _, _, err := rlR.readRecordAny(); !errors.Is(err, ErrKeyLimit) {
+		t.Fatalf("read past the key's budget: %v, want ErrKeyLimit", err)
 	}
 }
 
@@ -336,7 +434,7 @@ func TestBatchWriteSteadyStateAllocs(t *testing.T) {
 		{Ctx: DefaultContext, Head: head, Body: body},
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := rl.writeSealedBatch(recs); err != nil {
+		if _, err := rl.writeSealed(recs, RecordTypeApplicationData); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -353,10 +451,10 @@ func FuzzBatchOpenFraming(f *testing.F) {
 	// Seed with a genuine sealed batch, a truncation and raw noise.
 	var wire bytes.Buffer
 	rl := fixedKeyLayer(&wire, 5)
-	rl.writeSealedBatch([]OutRecord{
+	rl.writeSealed([]OutRecord{
 		{Ctx: DefaultContext, Body: []byte("seed-record-one")},
 		{Ctx: 5, Body: bytes.Repeat([]byte{9}, 600)},
-	})
+	}, RecordTypeApplicationData)
 	valid := append([]byte(nil), wire.Bytes()...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
@@ -378,4 +476,90 @@ func FuzzBatchOpenFraming(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenOrderMostRecentFirst pins the order in which an inbound record
+// is tried against the contexts: the one that opened the previous record
+// first, then the base context, then the streams in attachment order. Two
+// streams send alternating 16-record bursts with a control record (an ack,
+// in the session's terms) between them. Inside a burst no tag check may
+// fail; a change of context may cost at most two. A record for a removed
+// context, and one sealed under no context at all, must still fail closed
+// with every remaining context tried and counted.
+func TestOpenOrderMostRecentFirst(t *testing.T) {
+	var wire bytes.Buffer
+	rl := fixedKeyLayer(&wire, 3, 9)
+	rlR := fixedKeyLayer(&wire, 3, 9)
+	seal := func(ctx uint32, n int) {
+		recs := make([]OutRecord, n)
+		for i := range recs {
+			recs[i] = OutRecord{Ctx: ctx, Body: []byte{byte(ctx), byte(i)}}
+		}
+		if _, err := rl.writeSealed(recs, RecordTypeApplicationData); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// open reads n records, all of which must open under ctx, and returns
+	// how many tag checks failed on the first one and on the rest.
+	open := func(ctx uint32, n int) (first, rest uint64) {
+		for i := 0; i < n; i++ {
+			before := rlR.in.forgery
+			id, _, payload, err := rlR.readRecordAny()
+			if err != nil || id != ctx || payload[0] != byte(ctx) || payload[1] != byte(i) {
+				t.Fatalf("record %d of a burst under %d: opened under %d: %v", i, ctx, id, err)
+			}
+			bufpool.Put(payload)
+			if i == 0 {
+				first = rlR.in.forgery - before
+			} else {
+				rest += rlR.in.forgery - before
+			}
+		}
+		return first, rest
+	}
+	var opened, failed uint64
+	for round := 0; round < 6; round++ {
+		for _, burst := range []struct {
+			ctx uint32
+			n   int
+		}{{3, 16}, {DefaultContext, 1}, {9, 16}, {3, 16}, {DefaultContext, 2}, {9, 16}} {
+			seal(burst.ctx, burst.n)
+			first, rest := open(burst.ctx, burst.n)
+			if rest != 0 {
+				t.Fatalf("round %d: %d failed opens inside a burst under %d", round, rest, burst.ctx)
+			}
+			if first > 2 {
+				t.Fatalf("round %d: switching to %d cost %d failed opens, want at most 2", round, burst.ctx, first)
+			}
+			opened += uint64(burst.n)
+			failed += first
+		}
+	}
+	if used := rlR.in.seq + rlR.in.ctxRecords; used != opened {
+		t.Fatalf("key budget counts %d records, %d were opened", used, opened)
+	}
+	if rlR.in.forgery != failed || failed == 0 {
+		t.Fatalf("forgery counter %d, %d opens failed", rlR.in.forgery, failed)
+	}
+
+	// A record for a context the receiver has dropped (and was the most
+	// recent one): every context left is tried, none opens it.
+	seal(9, 1)
+	rlR.in.removeContext(9)
+	before := rlR.in.forgery
+	if _, _, _, err := rlR.readRecordAny(); !errors.Is(err, ErrNoContext) {
+		t.Fatalf("record for a removed context: %v, want ErrNoContext", err)
+	}
+	if got := rlR.in.forgery - before; got != 2 {
+		t.Fatalf("record for a removed context cost %d failed opens, want 2 (base and stream 3)", got)
+	}
+	// A record sealed under no context the receiver ever had.
+	rl.out.addContext(77, bytes.Repeat([]byte{0x77}, 12))
+	seal(77, 1)
+	if _, _, _, err := rlR.readRecordAny(); !errors.Is(err, ErrNoContext) {
+		t.Fatalf("record under an unknown context: %v, want ErrNoContext", err)
+	}
+	// The stream is still in step afterwards.
+	seal(3, 2)
+	open(3, 2)
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
 )
 
 // Config configures a Conn. The zero value is usable for a client that
@@ -161,7 +163,8 @@ type Conn struct {
 
 	sessions []*ClientSession
 
-	appReadBuf []byte
+	appReadBuf []byte // pooled record payload Read is draining, from appReadOff
+	appReadOff int
 
 	// server-side early data bookkeeping
 	earlyAccepted bool
@@ -278,59 +281,18 @@ func (c *Conn) ResumptionSecret() ([]byte, error) {
 func (c *Conn) Read(p []byte) (int, error) {
 	c.muRead.Lock()
 	defer c.muRead.Unlock()
-	if err := c.handshakeNeeded(); err != nil {
-		return 0, err
-	}
-	for len(c.appReadBuf) == 0 {
-		typ, payload, err := c.rl.readRecord()
-		if err != nil {
+	for c.appReadOff == len(c.appReadBuf) {
+		bufpool.Put(c.appReadBuf)
+		c.appReadBuf, c.appReadOff = nil, 0
+		var one [1]InRecord
+		if n, err := c.readRecords(one[:]); n == 0 {
 			return 0, err
 		}
-		switch typ {
-		case RecordTypeApplicationData:
-			c.appReadBuf = payload
-		case RecordTypeHandshake:
-			if err := c.handlePostHandshake(payload); err != nil {
-				return 0, err
-			}
-		case RecordTypeAlert:
-			return 0, alertToError(payload)
-		default:
-			return 0, fmt.Errorf("tls13: unexpected record type %d", typ)
-		}
+		c.appReadBuf = one[0].Payload
 	}
-	n := copy(p, c.appReadBuf)
-	c.appReadBuf = c.appReadBuf[n:]
+	n := copy(p, c.appReadBuf[c.appReadOff:])
+	c.appReadOff += n
 	return n, nil
-}
-
-// ReadRecord returns the next whole application-data record's plaintext.
-// TCPLS consumes records, not a byte stream, so it uses this instead of
-// Read. Post-handshake handshake messages are processed transparently.
-func (c *Conn) ReadRecord() ([]byte, error) {
-	c.muRead.Lock()
-	defer c.muRead.Unlock()
-	if err := c.handshakeNeeded(); err != nil {
-		return nil, err
-	}
-	for {
-		typ, payload, err := c.rl.readRecord()
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case RecordTypeApplicationData:
-			return payload, nil
-		case RecordTypeHandshake:
-			if err := c.handlePostHandshake(payload); err != nil {
-				return nil, err
-			}
-		case RecordTypeAlert:
-			return nil, alertToError(payload)
-		default:
-			return nil, fmt.Errorf("tls13: unexpected record type %d", typ)
-		}
-	}
 }
 
 // Write writes application data, fragmenting into records.
@@ -350,16 +312,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// WriteRecord writes exactly one application-data record (TCPLS framing).
-func (c *Conn) WriteRecord(payload []byte) error {
-	c.muWrite.Lock()
-	defer c.muWrite.Unlock()
-	if err := c.handshakeNeeded(); err != nil {
-		return err
-	}
-	return c.rl.writeRecord(RecordTypeApplicationData, payload)
 }
 
 func (c *Conn) handshakeNeeded() error {
@@ -457,27 +409,28 @@ func (c *Conn) readHandshakeMessage() (uint8, []byte, []byte, error) {
 				return typ, body, raw, nil
 			}
 		}
-		rtyp, payload, err := c.rl.readRecord()
+		_, rtyp, payload, err := c.rl.readRecordAny()
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		switch rtyp {
-		case RecordTypeHandshake:
+		switch {
+		case rtyp == RecordTypeHandshake:
 			c.hsBuf = append(c.hsBuf, payload...)
-		case RecordTypeAlert:
-			return 0, nil, nil, alertToError(payload)
-		case RecordTypeApplicationData:
-			// Early data arriving while we expect handshake messages.
-			if c.earlyAccepted {
-				if len(c.earlyBuf)+len(payload) > c.earlyBudget {
-					return 0, nil, nil, errors.New("tls13: early data exceeds budget")
-				}
-				c.earlyBuf = append(c.earlyBuf, payload...)
-				continue
-			}
-			return 0, nil, nil, errors.New("tls13: unexpected application data during handshake")
+		case rtyp == RecordTypeAlert:
+			err = alertToError(payload)
+		case rtyp != RecordTypeApplicationData:
+			err = fmt.Errorf("tls13: unexpected record type %d during handshake", rtyp)
+		case !c.earlyAccepted:
+			err = errors.New("tls13: unexpected application data during handshake")
+		case len(c.earlyBuf)+len(payload) > c.earlyBudget:
+			err = errors.New("tls13: early data exceeds budget")
 		default:
-			return 0, nil, nil, fmt.Errorf("tls13: unexpected record type %d during handshake", rtyp)
+			// Early data arriving while we expect handshake messages.
+			c.earlyBuf = append(c.earlyBuf, payload...)
+		}
+		bufpool.Put(payload)
+		if err != nil {
+			return 0, nil, nil, err
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
 )
@@ -35,15 +36,28 @@ var (
 
 // aeadLimit is the confidentiality limit on records per key for AES-GCM
 // (2^24.5 per the AEAD-limits analysis the paper cites [31, 46]; we round
-// down). Hitting it returns ErrKeyLimit rather than weakening.
-const aeadLimit = 1 << 24
+// down). The budget is the key's: every record sealed or opened under it
+// spends it, whichever context's nonce space it used. Failed openings are
+// budgeted separately against the same figure (far stricter than the 2^36
+// integrity limit). Hitting either returns ErrKeyLimit rather than
+// weakening. MaxRecordsPerKey is what Conn.RecordsLeft counts down from.
+const (
+	aeadLimit        = 1 << 24
+	MaxRecordsPerKey = aeadLimit
+)
 
 // halfConn protects one direction of a connection.
 type halfConn struct {
-	aead    cipher.AEAD
-	iv      []byte
-	seq     uint64
-	forgery uint64 // failed decryptions count toward the limit too
+	aead cipher.AEAD
+	iv   []byte
+	seq  uint64 // base-context sequence number
+
+	// ctxRecords counts records under the stream contexts, which share the
+	// key: seq+ctxRecords is what the key has protected, mirrored in used for
+	// readers outside the direction's lock. forgery counts failed openings.
+	ctxRecords uint64
+	forgery    uint64
+	used       atomic.Uint64
 
 	// nonceBuf and adBuf are scratch for nonce derivation and the
 	// additional-data record header, valid until the next record on
@@ -55,22 +69,34 @@ type halfConn struct {
 	adBuf    [recordHeader]byte
 
 	// TCPLS per-stream contexts (tcpls_hooks.go). ctxMu guards the slice
-	// only: per-context sequence numbers are mutated exclusively by the
-	// direction's single record path (muRead for in, muWrite for out).
+	// and last, the context that opened the previous record (nil: the base
+	// one); per-context sequence numbers are mutated exclusively by the
+	// direction's record path (muRead for in, muWrite for out).
 	ctxMu sync.Mutex
 	ctxs  []*streamCtx
+	last  *streamCtx
 }
 
 // setKeys installs a traffic secret (nil aead means plaintext).
 func (hc *halfConn) setKeys(s *suiteParams, trafficSecret []byte) {
 	hc.aead, hc.iv = s.aead(trafficSecret)
-	hc.seq = 0
+	hc.seq, hc.ctxRecords = 0, 0
+	hc.used.Store(0)
 }
 
-// nonceInto XORs the sequence number into the static IV (RFC 8446
-// §5.3), writing the result into dst. dst must hold len(iv) bytes.
-func nonceInto(dst, iv []byte, seq uint64) []byte {
-	n := dst[:len(iv)]
+// exhausted reports whether the key has spent either AEAD budget.
+func (hc *halfConn) exhausted() bool {
+	return hc.seq+hc.ctxRecords >= aeadLimit || hc.forgery >= aeadLimit
+}
+
+// nonce derives the next record's nonce under sc (nil: the base context)
+// into the half's scratch: sequence number XOR static IV (RFC 8446 §5.3).
+func (hc *halfConn) nonce(sc *streamCtx) []byte {
+	iv, seq := hc.iv, hc.seq
+	if sc != nil {
+		iv, seq = sc.iv, sc.seq
+	}
+	n := hc.nonceBuf[:len(iv)]
 	copy(n, iv)
 	var seqb [8]byte
 	binary.BigEndian.PutUint64(seqb[:], seq)
@@ -80,14 +106,15 @@ func nonceInto(dst, iv []byte, seq uint64) []byte {
 	return n
 }
 
-// nonce returns the base-context nonce in the half's scratch buffer.
-func (hc *halfConn) nonce() []byte {
-	return nonceInto(hc.nonceBuf[:], hc.iv, hc.seq)
-}
-
-// ctxNonce returns a stream context's nonce in the half's scratch buffer.
-func (hc *halfConn) ctxNonce(sc *streamCtx) []byte {
-	return nonceInto(hc.nonceBuf[:], sc.iv, sc.seq)
+// advance spends the nonce just derived for sc and one record of the budget.
+func (hc *halfConn) advance(sc *streamCtx) {
+	if sc == nil {
+		hc.seq++
+	} else {
+		sc.seq++
+		hc.ctxRecords++
+	}
+	hc.used.Store(hc.seq + hc.ctxRecords)
 }
 
 // recordLayer frames, protects and deprotects TLS records over an
@@ -123,85 +150,102 @@ func (rl *recordLayer) writeRecord(typ uint8, payload []byte) error {
 		bufpool.Put(out)
 		return err
 	}
-	if rl.out.seq >= aeadLimit {
-		return ErrKeyLimit
-	}
-	err := rl.writeSealed(rl.out.nonce(), nil, payload, nil, typ)
-	rl.out.seq++ // the nonce is spent even if the transport write failed
+	recs := [1]OutRecord{{Ctx: DefaultContext, Body: payload}}
+	_, err := rl.writeSealed(recs[:], typ)
 	return err
 }
 
-// writeSealed seals and writes one application-data record whose inner
-// plaintext is head||body||tail||innerType. The parts are gathered into
-// a pooled buffer and encrypted in place (dst overlapping plaintext
-// exactly, which AES-GCM permits), so callers can hand down framing
-// headers and payload separately without assembling them first.
-func (rl *recordLayer) writeSealed(nonce []byte, head, body, tail []byte, innerType uint8) error {
-	plen := len(head) + len(body) + len(tail) + 1
-	n := plen + rl.out.aead.Overhead()
-	buf := bufpool.Get(recordHeader + n)
-	buf[0] = RecordTypeApplicationData
-	binary.BigEndian.PutUint16(buf[1:], 0x0303)
-	binary.BigEndian.PutUint16(buf[3:], uint16(n))
-	p := buf[recordHeader:recordHeader]
-	p = append(p, head...)
-	p = append(p, body...)
-	p = append(p, tail...)
-	p = append(p, innerType)
-	rl.out.aead.Seal(buf[:recordHeader], nonce, p, buf[:recordHeader])
-	_, err := rl.rw.Write(buf)
+// OutRecord describes one outbound record: a crypto context
+// (DefaultContext or a stream context id) and a payload gathered from up
+// to three parts (framing head, body, trailer), any of which may be nil
+// and which together must not exceed MaxPlaintext.
+type OutRecord struct {
+	Ctx              uint32
+	Head, Body, Tail []byte
+}
+
+// batchBufCap bounds the sealed-record staging buffer — the largest
+// bufpool class, ~15 cwnd-matched 4K records or 3 max-size ones. Larger
+// batches flush mid-batch and keep going.
+const batchBufCap = 64 << 10
+
+// writeSealed is the one path every protected record leaves by: it seals
+// each of recs under its context, in order, as an application-data record
+// whose inner plaintext is head||body||tail||innerType, with as few
+// transport writes as possible (one, if the sealed bytes fit the staging
+// buffer). The parts are gathered into a pooled buffer and encrypted in
+// place (dst overlapping plaintext exactly, which AES-GCM permits).
+//
+// It returns the number of records sealed; on error, records [0, n) are on
+// the wire (or spent their sequence numbers) and the rest were not
+// started. Caller holds muWrite and has verified out.aead != nil.
+// Closure-free, so the steady-state write stays zero-alloc.
+func (rl *recordLayer) writeSealed(recs []OutRecord, innerType uint8) (sealed int, err error) {
+	overhead := recordHeader + 1 + rl.out.aead.Overhead()
+	need := 0
+	for i := range recs {
+		need += len(recs[i].Head) + len(recs[i].Body) + len(recs[i].Tail) + overhead
+	}
+	buf := bufpool.Get(min(need, batchBufCap))
+	used := 0
+
+	var sc *streamCtx
+	for i := range recs {
+		r := &recs[i]
+		plen := len(r.Head) + len(r.Body) + len(r.Tail)
+		if plen > MaxPlaintext {
+			err = ErrRecordOverflow
+			break
+		}
+		if used+plen+overhead > len(buf) {
+			// Staging buffer full: flush what's sealed and keep going.
+			if _, err = rl.rw.Write(buf[:used]); err != nil {
+				used = 0
+				break
+			}
+			used = 0
+		}
+
+		// Resolve the context and check the key's budget before spending
+		// a nonce.
+		if r.Ctx == DefaultContext {
+			sc = nil
+		} else if sc == nil || sc.id != r.Ctx {
+			if sc = rl.out.context(r.Ctx); sc == nil {
+				err = fmt.Errorf("tls13: unknown write context %d", r.Ctx)
+				break
+			}
+		}
+		if rl.out.exhausted() {
+			err = ErrKeyLimit
+			break
+		}
+		nonce := rl.out.nonce(sc)
+		rl.out.advance(sc) // the nonce is spent even if the transport write fails
+
+		rec := buf[used : used+plen+overhead]
+		rec[0] = RecordTypeApplicationData
+		binary.BigEndian.PutUint16(rec[1:], 0x0303)
+		binary.BigEndian.PutUint16(rec[3:], uint16(len(rec)-recordHeader))
+		p := rec[recordHeader:recordHeader]
+		p = append(p, r.Head...)
+		p = append(p, r.Body...)
+		p = append(p, r.Tail...)
+		p = append(p, innerType)
+		rl.out.aead.Seal(rec[:recordHeader], nonce, p, rec[:recordHeader])
+		used += len(rec)
+		sealed++
+	}
+
+	// Flush whatever sealed, even on the error paths: those records
+	// spent their nonces and belong on the wire.
+	if used > 0 {
+		if _, ferr := rl.rw.Write(buf[:used]); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	bufpool.Put(buf)
-	return err
-}
-
-// readRecord returns the next record's (inner) content type and payload.
-// ChangeCipherSpec records are skipped transparently.
-func (rl *recordLayer) readRecord() (uint8, []byte, error) {
-	for {
-		hdr, err := rl.fill(recordHeader)
-		if err != nil {
-			return 0, nil, err
-		}
-		n := int(binary.BigEndian.Uint16(hdr[3:]))
-		if n > MaxCiphertext {
-			return 0, nil, ErrRecordOverflow
-		}
-		full, err := rl.fill(recordHeader + n)
-		if err != nil {
-			return 0, nil, err
-		}
-		typ := full[0]
-		body := append([]byte(nil), full[recordHeader:recordHeader+n]...)
-		rl.consume(recordHeader + n)
-
-		if typ == RecordTypeChangeCipherSpec {
-			continue // middlebox-compat CCS: ignore
-		}
-		if rl.in.aead == nil || typ != RecordTypeApplicationData {
-			return typ, body, nil
-		}
-		if rl.in.seq+rl.in.forgery >= aeadLimit {
-			return 0, nil, ErrKeyLimit
-		}
-		hdrCopy := rl.in.adBuf[:]
-		hdrCopy[0], hdrCopy[1], hdrCopy[2] = typ, 0x03, 0x03
-		binary.BigEndian.PutUint16(hdrCopy[3:], uint16(n))
-		plain, err := rl.in.aead.Open(body[:0], rl.in.nonce(), body, hdrCopy)
-		if err != nil {
-			rl.in.forgery++
-			return 0, nil, ErrBadRecordMAC
-		}
-		rl.in.seq++
-		// Strip zero padding and the inner content type.
-		i := len(plain) - 1
-		for i >= 0 && plain[i] == 0 {
-			i--
-		}
-		if i < 0 {
-			return 0, nil, fmt.Errorf("%w: all-zero plaintext", ErrBadRecordMAC)
-		}
-		return plain[i], plain[:i], nil
-	}
+	return sealed, err
 }
 
 // readChunk is the transport read size for the record buffer, and

@@ -2,7 +2,6 @@ package tls13
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"github.com/pluginized-protocols/gotcpls/internal/bufpool"
@@ -16,22 +15,25 @@ import (
 // learn the stream id from the wire — it trial-verifies the AEAD tag
 // against its known contexts until one opens, exactly as the paper
 // describes ("configure the AEAD cipher to check the authentication tag
-// until we find the right stream").
+// until we find the right stream"). Records leave through WriteRecordBatch
+// and arrive through ReadRecordContextBatch; the single-record calls wrap
+// them (a single record is a batch of one).
 
 // DefaultContext identifies the connection's base TLS context (the one
 // the handshake established); TCPLS uses it for the control channel.
 const DefaultContext uint32 = 0xffffffff
 
 // streamCtx is one extra crypto context on a half connection. Nonces
-// are derived into the owning halfConn's scratch (halfConn.ctxNonce).
+// are derived into the owning halfConn's scratch (halfConn.nonce).
 type streamCtx struct {
 	id  uint32
 	iv  []byte
 	seq uint64
 }
 
-// ErrNoContext reports an inbound record that no context could open.
-var ErrNoContext = errors.New("tls13: no crypto context opens this record")
+// ErrNoContext reports an inbound record that no context could open: a
+// bad record MAC under every one of them.
+var ErrNoContext = fmt.Errorf("%w: no crypto context opens this record", ErrBadRecordMAC)
 
 // streamIVLabel derives the per-stream IV.
 func (s *suiteParams) streamIV(trafficSecret []byte, streamID uint32) []byte {
@@ -75,60 +77,104 @@ func (c *Conn) WriteRecordContext(id uint32, payload []byte) error {
 // composing framing (record headers, type trailers) around a payload
 // avoid an intermediate copy. Any part may be nil.
 func (c *Conn) WriteRecordParts(id uint32, head, body, tail []byte) error {
+	recs := [1]OutRecord{{Ctx: id, Head: head, Body: body, Tail: tail}}
+	_, err := c.WriteRecordBatch(recs[:])
+	return err
+}
+
+// WriteRecordBatch seals every record of recs under its context and
+// writes them with as few transport writes as possible (see writeSealed,
+// whose result it returns).
+func (c *Conn) WriteRecordBatch(recs []OutRecord) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
 	c.muWrite.Lock()
 	defer c.muWrite.Unlock()
 	if err := c.handshakeNeeded(); err != nil {
-		return err
+		return 0, err
 	}
-	if len(head)+len(body)+len(tail) > MaxPlaintext {
-		return ErrRecordOverflow
+	if c.rl.out.aead == nil {
+		return 0, ErrHandshakeRequired
 	}
-	if id == DefaultContext {
-		if c.rl.out.aead == nil {
-			return ErrHandshakeRequired
-		}
-		if c.rl.out.seq >= aeadLimit {
-			return ErrKeyLimit
-		}
-		err := c.rl.writeSealed(c.rl.out.nonce(), head, body, tail, RecordTypeApplicationData)
-		c.rl.out.seq++
-		return err
-	}
-	return c.rl.writeRecordContextParts(id, head, body, tail)
+	return c.rl.writeSealed(recs, RecordTypeApplicationData)
 }
 
-// ReadRecordContext reads the next application-data record, returning
-// the context that opened it. Post-handshake messages (tickets) are
-// handled transparently; alerts surface as errors.
-//
-// Ownership of the returned payload transfers to the caller: it is
-// backed by a bufpool buffer (base pointer preserved), so callers that
-// finish with it should pass it to bufpool.Put. Skipping the Put is
-// safe — the buffer just falls back to the garbage collector.
+// InRecord is one inbound record. Payload is backed by a bufpool buffer
+// whose ownership transfers to the caller (pass it to bufpool.Put when
+// done; skipping the Put just falls back to the garbage collector).
+type InRecord struct {
+	Ctx     uint32
+	Payload []byte
+}
+
+// ReadRecordContext reads the next application-data record: the context
+// that opened it and its payload, owned as InRecord.Payload is.
 func (c *Conn) ReadRecordContext() (uint32, []byte, error) {
-	c.muRead.Lock()
-	defer c.muRead.Unlock()
-	if err := c.handshakeNeeded(); err != nil {
+	var one [1]InRecord
+	if n, err := c.ReadRecordContextBatch(one[:]); n == 0 {
 		return 0, nil, err
 	}
-	for {
+	return one[0].Ctx, one[0].Payload, nil
+}
+
+// ReadRecordContextBatch drains application-data records into out: it
+// blocks for the first record, then keeps appending records that are
+// already complete in the receive buffer — one lock acquisition and zero
+// extra transport reads for a whole burst. Post-handshake messages are
+// handled transparently mid-batch.
+//
+// It returns the number of records filled. n > 0 with a non-nil error
+// means records [0, n) are valid AND the stream then failed; callers
+// must consume the records before acting on the error.
+func (c *Conn) ReadRecordContextBatch(out []InRecord) (int, error) {
+	c.muRead.Lock()
+	defer c.muRead.Unlock()
+	return c.readRecords(out)
+}
+
+// readRecords is ReadRecordContextBatch under muRead.
+func (c *Conn) readRecords(out []InRecord) (int, error) {
+	if err := c.handshakeNeeded(); err != nil {
+		return 0, err
+	}
+	n := 0
+	for n < len(out) {
+		if n > 0 && !c.rl.recordBuffered() {
+			break // would block; deliver what we have
+		}
 		id, typ, payload, err := c.rl.readRecordAny()
 		if err != nil {
-			return 0, nil, err
+			return n, err
+		}
+		if typ == RecordTypeApplicationData {
+			out[n] = InRecord{Ctx: id, Payload: payload}
+			n++
+			if id == DefaultContext {
+				// Default-context records can carry control frames that
+				// register new crypto contexts. Later records of the same
+				// burst may only decrypt after the caller processes this
+				// one, so the batch must stop here — draining on would
+				// trial-open them against a context set that is about to
+				// change and misreport them as undecryptable.
+				return n, nil
+			}
+			continue
 		}
 		switch typ {
-		case RecordTypeApplicationData:
-			return id, payload, nil
 		case RecordTypeHandshake:
-			if err := c.handlePostHandshake(payload); err != nil {
-				return 0, nil, err
-			}
+			err = c.handlePostHandshake(payload)
 		case RecordTypeAlert:
-			return 0, nil, alertToError(payload)
+			err = alertToError(payload)
 		default:
-			return 0, nil, fmt.Errorf("tls13: unexpected record type %d", typ)
+			err = fmt.Errorf("tls13: unexpected record type %d", typ)
+		}
+		bufpool.Put(payload)
+		if err != nil {
+			return n, err
 		}
 	}
+	return n, nil
 }
 
 // ForgeryCount reports failed AEAD openings on the read side — TCPLS
@@ -137,6 +183,17 @@ func (c *Conn) ForgeryCount() uint64 {
 	c.muRead.Lock()
 	defer c.muRead.Unlock()
 	return c.rl.in.forgery
+}
+
+// RecordsLeft reports how many more records the busier direction's key
+// may protect before ErrKeyLimit; with no key update, the connection's
+// remaining lifetime. Lock-free: safe to poll while a reader is blocked.
+func (c *Conn) RecordsLeft() uint64 {
+	used := max(c.rl.in.used.Load(), c.rl.out.used.Load())
+	if used >= aeadLimit {
+		return 0
+	}
+	return aeadLimit - used
 }
 
 // --- halfConn context management ---
@@ -158,6 +215,9 @@ func (hc *halfConn) removeContext(id uint32) {
 	for i, sc := range hc.ctxs {
 		if sc.id == id {
 			hc.ctxs = append(hc.ctxs[:i], hc.ctxs[i+1:]...)
+			if hc.last == sc {
+				hc.last = nil
+			}
 			return
 		}
 	}
@@ -174,51 +234,79 @@ func (hc *halfConn) context(id uint32) *streamCtx {
 	return nil
 }
 
-// trialOpen attempts to open a record under each stream context in
-// attachment order, decrypting into dst (an empty slice with capacity
-// for the plaintext). Holding ctxMu across the attempts is fine: the
-// loop never blocks, and context installation is rare.
-func (hc *halfConn) trialOpen(dst, body, ad []byte) ([]byte, uint32, bool) {
+// open authenticates and decrypts one record under exactly one context,
+// into dst (empty, with capacity for the plaintext), and returns the
+// plaintext and that context's id. The context that opened the previous
+// record is tried first — a stream in bulk then costs one tag check per
+// record — then the base context, then the streams in attachment order.
+// Every failed attempt counts as a forgery and zeroes only dst, so the
+// ciphertext stays intact for the next. Holding ctxMu across the attempts
+// is fine: the loop never blocks, and context installation is rare.
+func (hc *halfConn) open(dst, body, ad []byte) ([]byte, uint32, bool) {
 	hc.ctxMu.Lock()
 	defer hc.ctxMu.Unlock()
+	first := hc.last
+	if plain, ok := hc.tryOpen(first, dst, body, ad); ok {
+		return plain, first.ctxID(), true
+	}
+	if first != nil {
+		if plain, ok := hc.tryOpen(nil, dst, body, ad); ok {
+			hc.last = nil
+			return plain, DefaultContext, true
+		}
+	}
 	for _, sc := range hc.ctxs {
-		if plain, err := hc.aead.Open(dst, hc.ctxNonce(sc), body, ad); err == nil {
-			sc.seq++
+		if sc == first {
+			continue
+		}
+		if plain, ok := hc.tryOpen(sc, dst, body, ad); ok {
+			hc.last = sc
 			return plain, sc.id, true
 		}
-		hc.forgery++
 	}
 	return nil, 0, false
 }
 
-// writeRecordContextParts protects head||body||tail under a stream context.
-func (rl *recordLayer) writeRecordContextParts(id uint32, head, body, tail []byte) error {
-	sc := rl.out.context(id)
-	if sc == nil {
-		return fmt.Errorf("tls13: unknown write context %d", id)
+// tryOpen is one tag check under sc (nil: the base context).
+func (hc *halfConn) tryOpen(sc *streamCtx, dst, body, ad []byte) ([]byte, bool) {
+	plain, err := hc.aead.Open(dst, hc.nonce(sc), body, ad)
+	if err != nil {
+		hc.forgery++
+		return nil, false
 	}
-	if rl.out.aead == nil {
-		return ErrHandshakeRequired
-	}
-	if sc.seq >= aeadLimit {
-		return ErrKeyLimit
-	}
-	err := rl.writeSealed(rl.out.ctxNonce(sc), head, body, tail, RecordTypeApplicationData)
-	sc.seq++
-	return err
+	hc.advance(sc)
+	return plain, true
 }
 
-// readRecordAny reads one record and trial-decrypts: base context first,
-// then every stream context. Returns the context id that opened it
+// ctxID is the context's id; the nil context is the base one.
+func (sc *streamCtx) ctxID() uint32 {
+	if sc == nil {
+		return DefaultContext
+	}
+	return sc.id
+}
+
+// recordBuffered reports whether a complete record is already sitting
+// in the read buffer, i.e. whether another readRecordAny is guaranteed
+// not to touch the transport.
+func (rl *recordLayer) recordBuffered() bool {
+	avail := len(rl.buf) - rl.off
+	if avail < recordHeader {
+		return false
+	}
+	n := int(binary.BigEndian.Uint16(rl.buf[rl.off+3:]))
+	return avail >= recordHeader+n
+}
+
+// readRecordAny reads one record and opens it under whichever context
+// authenticates it (halfConn.open), returning that context's id
 // (DefaultContext for the base keys).
 //
-// Application-data plaintext is decrypted into a bufpool buffer whose
-// ownership transfers to the caller: passing the returned slice to
-// bufpool.Put when done recycles it (its base pointer is the buffer
-// base). The ciphertext itself is a view into the read buffer and is
-// never copied. Non-application records (handshake, alerts, records
-// read before keys are installed) are returned as plain GC allocations
-// since they are consumed internally.
+// The payload is always a bufpool buffer whose ownership transfers to the
+// caller: passing the returned slice to bufpool.Put when done recycles it
+// (its base pointer is the buffer base). Protected records are decrypted
+// into it straight from the read buffer; unprotected ones (before keys
+// are installed) are copied.
 func (rl *recordLayer) readRecordAny() (uint32, uint8, []byte, error) {
 	for {
 		hdr, err := rl.fill(recordHeader)
@@ -241,47 +329,30 @@ func (rl *recordLayer) readRecordAny() (uint32, uint8, []byte, error) {
 			continue
 		}
 		if rl.in.aead == nil || typ != RecordTypeApplicationData {
-			out := append([]byte(nil), body...)
+			out := bufpool.Get(n)
+			copy(out, body)
 			rl.consume(recordHeader + n)
 			return DefaultContext, typ, out, nil
 		}
-		if rl.in.seq+rl.in.forgery >= aeadLimit {
+		if rl.in.exhausted() {
 			return 0, 0, nil, ErrKeyLimit
 		}
-		hdrCopy := rl.in.adBuf[:]
-		hdrCopy[0], hdrCopy[1], hdrCopy[2] = typ, 0x03, 0x03
-		binary.BigEndian.PutUint16(hdrCopy[3:], uint16(n))
-
-		// Decrypt into a pooled buffer: a failed trial zeroes only the
-		// destination (the ciphertext view stays intact for the next
-		// attempt), a successful one hands the buffer to the caller.
+		ad := rl.in.adBuf[:] // the record header is the additional data
+		ad[0], ad[1], ad[2] = typ, 0x03, 0x03
+		binary.BigEndian.PutUint16(ad[3:], uint16(n))
 		plainBuf := bufpool.Get(n)
-
-		// Base context first (control channel traffic dominates between
-		// stream bursts), then the stream contexts in attachment order.
-		if plain, err := rl.in.aead.Open(plainBuf[:0], rl.in.nonce(), body, hdrCopy[:]); err == nil {
-			rl.in.seq++
-			rl.consume(recordHeader + n)
-			inner, ityp, ok := stripInner(plain)
-			if !ok {
-				bufpool.Put(plainBuf)
-				return 0, 0, nil, ErrBadRecordMAC
-			}
-			return DefaultContext, ityp, inner, nil
-		}
-		rl.in.forgery++
-		if plain, id, ok := rl.in.trialOpen(plainBuf[:0], body, hdrCopy[:]); ok {
-			rl.consume(recordHeader + n)
-			inner, ityp, ok := stripInner(plain)
-			if !ok {
-				bufpool.Put(plainBuf)
-				return 0, 0, nil, ErrBadRecordMAC
-			}
-			return id, ityp, inner, nil
-		}
-		bufpool.Put(plainBuf)
+		plain, id, ok := rl.in.open(plainBuf[:0], body, ad)
 		rl.consume(recordHeader + n)
-		return 0, 0, nil, ErrNoContext
+		if !ok {
+			bufpool.Put(plainBuf)
+			return 0, 0, nil, ErrNoContext
+		}
+		inner, ityp, ok := stripInner(plain)
+		if !ok {
+			bufpool.Put(plainBuf)
+			return 0, 0, nil, ErrBadRecordMAC
+		}
+		return id, ityp, inner, nil
 	}
 }
 

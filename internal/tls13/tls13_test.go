@@ -298,18 +298,18 @@ func TestLargeTransferFragmentation(t *testing.T) {
 
 func TestRecordAPI(t *testing.T) {
 	client, server := handshakePair(t, clientConfig(), serverConfig())
-	go client.WriteRecord([]byte("record-one"))
-	rec, err := server.ReadRecord()
+	go client.WriteRecordContext(DefaultContext, []byte("record-one"))
+	_, rec, err := server.ReadRecordContext()
 	if err != nil || string(rec) != "record-one" {
 		t.Fatalf("%q %v", rec, err)
 	}
 	// Record boundaries are preserved (unlike the byte stream).
 	go func() {
-		client.WriteRecord([]byte("a"))
-		client.WriteRecord([]byte("bb"))
+		client.WriteRecordContext(DefaultContext, []byte("a"))
+		client.WriteRecordContext(DefaultContext, []byte("bb"))
 	}()
-	r1, _ := server.ReadRecord()
-	r2, _ := server.ReadRecord()
+	_, r1, _ := server.ReadRecordContext()
+	_, r2, _ := server.ReadRecordContext()
 	if string(r1) != "a" || string(r2) != "bb" {
 		t.Fatalf("boundaries lost: %q %q", r1, r2)
 	}

@@ -65,6 +65,56 @@ func (d pipeDialer) Dial(laddr netip.Addr, raddr netip.AddrPort, timeout time.Du
 func BenchmarkStreamThroughput1K(b *testing.B)  { benchStreamThroughput(b, 1<<10, 0) }
 func BenchmarkStreamThroughput16K(b *testing.B) { benchStreamThroughput(b, 16<<10, 0) }
 
+// BenchmarkStreamThroughput64K and BenchmarkEcho1K are the shapes of the
+// repository benchmark's bulk_pipe_64k and echo_pipe_1k workloads (64 KiB
+// writes at the default record size; a 1 KiB request answered by a 1 KiB
+// echo, one outstanding) as Go benchmarks, so that `make profile
+// WORKLOAD=BenchmarkStreamThroughput64K` can put a CPU profile beside a
+// claim made on those workloads — benchmark/ itself takes no -cpuprofile.
+func BenchmarkStreamThroughput64K(b *testing.B) { benchStreamThroughput(b, 64<<10, 0) }
+
+func BenchmarkEcho1K(b *testing.B) {
+	cli, srv := benchSessions(b, 0)
+	st, err := cli.NewStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() {
+		sst, err := srv.AcceptStream()
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 1<<10)
+		for {
+			if _, err := io.ReadFull(sst, buf); err != nil {
+				return
+			}
+			if _, err := sst.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	req, reply := make([]byte, 1<<10), make([]byte, 1<<10)
+	for i := range req {
+		req[i] = byte(i)
+	}
+	roundTrip := func() {
+		if _, err := st.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(st, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	roundTrip() // establishes the stream and fills the layer caches
+	b.ReportAllocs()
+	b.SetBytes(2 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
 // BenchmarkRecordSizeSweep reproduces the shape of the paper's Figure 2:
 // goodput as a function of record size at a fixed window. Each sub-bench
 // pushes the same 256 KiB writes through the stack with the stream-chunk
@@ -82,12 +132,14 @@ func BenchmarkRecordSizeSweep(b *testing.B) {
 	}
 }
 
-func benchStreamThroughput(b *testing.B, size, recordSize int) {
+// benchSessions opens one session over the in-memory pipe and returns
+// both ends; the benchmark's cleanup closes them.
+func benchSessions(b *testing.B, recordSize int) (cli, srv *tcpls.Session) {
 	pl := newPipeListener()
 	lst := tcpls.NewListener(pl, &tcpls.Config{
 		TLS: &tcpls.TLSConfig{Certificate: benchCert},
 	})
-	defer lst.Close()
+	b.Cleanup(func() { lst.Close() })
 
 	srvCh := make(chan *tcpls.Session, 1)
 	go func() {
@@ -98,11 +150,11 @@ func benchStreamThroughput(b *testing.B, size, recordSize int) {
 		srvCh <- s
 	}()
 
-	cli := tcpls.NewClient(&tcpls.Config{
+	cli = tcpls.NewClient(&tcpls.Config{
 		TLS:        &tcpls.TLSConfig{InsecureSkipVerify: true},
 		RecordSize: recordSize,
 	}, pipeDialer{l: pl})
-	defer cli.Close()
+	b.Cleanup(func() { cli.Close() })
 	raddr := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), 443)
 	if _, err := cli.Connect(netip.Addr{}, raddr, 5*time.Second); err != nil {
 		b.Fatal(err)
@@ -110,8 +162,11 @@ func benchStreamThroughput(b *testing.B, size, recordSize int) {
 	if err := cli.Handshake(); err != nil {
 		b.Fatal(err)
 	}
-	srv := <-srvCh
+	return cli, <-srvCh
+}
 
+func benchStreamThroughput(b *testing.B, size, recordSize int) {
+	cli, srv := benchSessions(b, recordSize)
 	st, err := cli.NewStream()
 	if err != nil {
 		b.Fatal(err)
